@@ -182,7 +182,7 @@ struct CacheRun {
 };
 
 /// Service-cost model of one soft-switch core (rx/tx + pipeline +
-/// cache accounting, exactly as SoftSwitch::service charges it),
+/// cache accounting, exactly as SoftSwitch bills a per-packet burst),
 /// driven CPU-bound: capacity = 1e9 / avg_ns packets per second.
 CacheRun skewed_capacity(bool flow_cache, int hosts, int acl_rules, std::size_t packets) {
   using namespace openflow;

@@ -365,6 +365,7 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4354534e;  // "CTSN"
 constexpr std::uint16_t kSnapshotVersion = 1;
+constexpr std::size_t kSnapshotEntryBytes = 42;  // two 13-byte tuples + NAT + flags + timeout
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -422,7 +423,7 @@ struct Reader {
 
 std::vector<std::uint8_t> CtSnapshot::serialize() const {
   std::vector<std::uint8_t> out;
-  out.reserve(18 + entries.size() * 42);
+  out.reserve(18 + entries.size() * kSnapshotEntryBytes);
   put_u32(out, kSnapshotMagic);
   put_u16(out, kSnapshotVersion);
   put_u64(out, static_cast<std::uint64_t>(taken_at));
@@ -447,12 +448,16 @@ std::optional<CtSnapshot> CtSnapshot::parse(const std::vector<std::uint8_t>& byt
   snap.taken_at = static_cast<sim::SimNanos>(in.u64());
   const std::uint32_t count = in.u32();
   if (!in.ok) return std::nullopt;
+  // Bound the count by the bytes that follow before reserving: a
+  // corrupt count must not turn into a huge allocation.
+  if (count > (bytes.size() - in.at) / kSnapshotEntryBytes) return std::nullopt;
   snap.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     CtSnapshotEntry e;
     e.orig = in.tuple();
     e.reply = in.tuple();
-    e.nat.kind = static_cast<CtAction::Nat>(in.u8());
+    const std::uint8_t nat_kind = in.u8();
+    e.nat.kind = static_cast<CtAction::Nat>(nat_kind);
     e.nat.ip = in.u32();
     e.nat.port = in.u16();
     const std::uint8_t flags = in.u8();
@@ -460,6 +465,11 @@ std::optional<CtSnapshot> CtSnapshot::parse(const std::vector<std::uint8_t>& byt
     e.closing = (flags & 2) != 0;
     e.remaining_ns = static_cast<sim::SimNanos>(in.u64());
     if (!in.ok) return std::nullopt;
+    // Values serialize() never writes: an unknown NAT kind, unknown
+    // flag bits, or an entry already expired (checkpoint() skips those).
+    if (nat_kind > static_cast<std::uint8_t>(CtAction::Nat::kDest) || (flags & ~3u) != 0 ||
+        e.remaining_ns <= 0)
+      return std::nullopt;
     snap.entries.push_back(e);
   }
   if (in.at != bytes.size()) return std::nullopt;  // trailing garbage

@@ -245,7 +245,7 @@ bool Pipeline::ct_annotate(FieldView& view, std::size_t shard, sim::SimNanos now
       (view.present & field_bit(Field::kTcpFlags)) != 0
           ? static_cast<std::uint8_t>(view.values[static_cast<std::size_t>(Field::kTcpFlags)])
           : 0;
-  view.set(Field::kCtState, trackers_[shard]->classify(tuple, tcp_flags, now));
+  view.set(Field::kCtState, trackers_.at(shard)->classify(tuple, tcp_flags, now));
   return true;
 }
 
@@ -360,25 +360,27 @@ void Pipeline::install_learned(MegaflowEntry entry, const FieldView& original_vi
 
 PipelineResult Pipeline::run(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
                              std::size_t shard) {
+  // Conntrack prelude, *before* any cache probe: the classification is
+  // part of the packet's identity from here on, so both cache tiers
+  // key on it and stale state decisions are structurally impossible.
   FieldView view = cached_field_view(packet, in_port);
-  return run_with_view(std::move(packet), in_port, now, std::move(view), shard);
+  const bool classified = ct_annotate(view, shard, now);
+  PipelineResult result =
+      run_with_view(std::move(packet), in_port, now, std::move(view), shard);
+  if (classified) ++result.ct_lookups;
+  return result;
 }
 
 PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_port,
                                        sim::SimNanos now, FieldView view, std::size_t shard,
-                                       bool ct_annotated, const MegaflowEntry** replayed) {
+                                       const MegaflowEntry** replayed) {
   PipelineResult result;
-  // The one shard-bounds check on the per-packet entry path (run() and
-  // the run_burst residue both come through here); install_learned
-  // only ever receives this same validated shard.
+  // The one shard-bounds check on the per-packet entry path (every
+  // run_burst packet comes through here); install_learned only ever
+  // receives this same validated shard.
   FlowCache& cache = *caches_.at(shard);
   current_shard_ = shard;
   ct_now_ = now;
-
-  // Conntrack prelude, *before* any cache probe: the classification is
-  // part of the packet's identity from here on, so both cache tiers
-  // key on it and stale state decisions are structurally impossible.
-  if (!ct_annotated && ct_annotate(view, shard, now)) ++result.ct_lookups;
 
   if (cache_enabled_) {
     std::uint32_t scanned = 0;
@@ -531,21 +533,16 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
 void Pipeline::run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now,
                          std::size_t shard, BurstResult& out) {
   out.reset(burst.size());
-  FlowCache& cache = *caches_.at(shard);
-  if (!cache_enabled_) {
-    // No cache, nothing to group: the burst amortizes only the
-    // datapath's rx/tx overhead (charged by the caller).
-    for (std::size_t i = 0; i < burst.size(); ++i)
-      out.results[i] = run(std::move(burst[i].packet), burst[i].in_port, now, shard);
-    return;
-  }
-  if (ct_enabled_) {
-    // Connection state is order-sensitive within a burst (packet i's
-    // commit changes packet i+1's classification), so the phased
-    // probe/replay below would diverge from per-packet execution.
+  // Without a cache there is nothing to group; with conntrack on,
+  // connection state is order-sensitive within a burst (packet i's
+  // commit changes packet i+1's classification), so the phased
+  // probe/replay below would diverge from per-packet execution. Both
+  // take the arrival-order loop.
+  if (!cache_enabled_ || ct_enabled_) {
     run_burst_sequential(burst, now, shard, out);
     return;
   }
+  FlowCache& cache = *caches_.at(shard);
 
   // Phase 1: probe the cache for the whole burst. Misses are not
   // counted here (probe()); the residue's run() accounts each exactly
@@ -615,7 +612,7 @@ void Pipeline::run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNan
     const bool classified = ct_annotate(view, shard, now);
     const MegaflowEntry* replayed = nullptr;
     out.results[i] = run_with_view(std::move(burst[i].packet), burst[i].in_port, now,
-                                   std::move(view), shard, /*ct_annotated=*/true, &replayed);
+                                   std::move(view), shard, &replayed);
     if (classified) ++out.results[i].ct_lookups;
     if (replayed != nullptr &&
         std::find(burst_replayed_.begin(), burst_replayed_.end(), replayed) ==

@@ -212,10 +212,11 @@ class Pipeline {
   /// Wipe all connection state (datapath crash), keeping shard stats.
   void ct_clear();
 
-  /// Run one packet; consumes it. Fast path on a cache-shard hit,
-  /// otherwise the full traversal (which learns a megaflow into the
-  /// same shard when caching is on). `shard` is the calling worker
-  /// core's cache shard; the single-core datapath uses shard 0.
+  /// Run one packet; consumes it. Conntrack prelude first, then the
+  /// fast path on a cache-shard hit, otherwise the full traversal
+  /// (which learns a megaflow into the same shard when caching is on).
+  /// `shard` is the calling worker core's cache shard; the single-core
+  /// datapath uses shard 0.
   PipelineResult run(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
                      std::size_t shard = 0);
 
@@ -225,9 +226,10 @@ class Pipeline {
   /// (per-packet emission, one replay setup per group); phase 3 sends
   /// only the residue through run()'s slow path — in arrival order, and
   /// re-probing, so the second packet of a new flow within one burst
-  /// hits the megaflow the first one installed. Observationally
-  /// identical to running the packets one at a time (the burst
-  /// equivalence property test pins this). `shard` as in run().
+  /// hits the megaflow the first one installed. Cache-off and
+  /// conntrack-on bursts skip the phases (run_burst_sequential).
+  /// Observationally identical to running the packets one at a time
+  /// (the burst equivalence property test pins this). `shard` as in run().
   /// Consumes the packets but not the vector (the caller's burst
   /// buffer keeps its capacity); `out` is reset and refilled, so a
   /// caller-owned BurstResult recycles all result storage.
@@ -265,17 +267,16 @@ class Pipeline {
                                 PipelineResult& result, bool& view_dirty, FieldUse* learn,
                                 int depth, bool consume = false);
 
-  /// run() body once the packet's FieldView is built — run_burst
-  /// residue packets enter here with their phase-1 view, so a burst
-  /// parses each packet exactly once. `shard` is the serving core's
-  /// cache shard (lookup and learning both land there).
-  /// `ct_annotated` marks a view the caller already ran the conntrack
-  /// prelude on (the sequential ct burst path), so classification — a
-  /// stats-bearing tracker lookup — happens exactly once per packet.
-  /// `replayed` (optional) reports the megaflow entry a cache hit
-  /// replayed, for the caller's replay-group accounting.
+  /// run() body once the packet's FieldView is built and, when
+  /// conntrack is on, classified — the callers run the prelude, so
+  /// classification (a stats-bearing tracker lookup) happens exactly
+  /// once per packet. run_burst residue packets enter here with their
+  /// phase-1 view, so a burst parses each packet exactly once. `shard`
+  /// is the serving core's cache shard (lookup and learning both land
+  /// there). `replayed` (optional) reports the megaflow entry a cache
+  /// hit replayed, for the caller's replay-group accounting.
   PipelineResult run_with_view(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
-                               FieldView view, std::size_t shard, bool ct_annotated = false,
+                               FieldView view, std::size_t shard,
                                const MegaflowEntry** replayed = nullptr);
 
   /// Conntrack prelude: classify the packet's 5-tuple against `shard`'s
@@ -292,11 +293,12 @@ class Pipeline {
   void ct_execute(const CtAction& spec, net::Packet& packet, PipelineResult& result,
                   FieldUse* learn, bool& view_dirty);
 
-  /// run_burst body when conntrack is on: strictly sequential per-packet
-  /// processing (classification is order-sensitive — an earlier packet's
-  /// commit changes a later packet's ct_state, so phase-grouping would
-  /// diverge from per-packet execution). Replay-group amortization is
-  /// preserved by counting distinct replayed entries.
+  /// run_burst body when the cache is off or conntrack is on: strictly
+  /// sequential per-packet processing (classification is
+  /// order-sensitive — an earlier packet's commit changes a later
+  /// packet's ct_state, so phase-grouping would diverge from per-packet
+  /// execution). Replay-group amortization is preserved by counting
+  /// distinct replayed entries (none without a cache).
   void run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNanos now,
                             std::size_t shard, BurstResult& out);
 

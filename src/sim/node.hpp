@@ -24,8 +24,11 @@
 // degrades bit-exactly to the single-core datapath of PR 2-4.
 //
 // With `burst_size == 1` a core degrades to the classic single-server
-// queue, serving one packet per `service(...)` call — the per-packet
-// datapath of PR 1, kept as the batching ablation baseline.
+// queue: every burst holds one packet and sweeps no queue polls
+// (queues_polled() == 0) — the per-packet datapath, kept as the
+// batching ablation baseline. There is one entry point either way:
+// every burst goes to `service_burst(...)`, whose default serves
+// packets one by one through `service(...)`.
 // `SchedulerSpec::adaptive_burst` makes the budget track each core's
 // backlog between adaptive_min_burst and burst_size, so light load
 // takes the per-packet path (no idle poll sweep) and overload keeps
@@ -133,8 +136,8 @@ class ServicedNode : public Node {
   void handle(int in_port, net::Packet&& packet) final;
 
   /// Maximum packets drained per core per service burst. 1 = per-packet
-  /// service (the classic single-server queue; `service()` is called
-  /// directly and `service_burst()` never runs).
+  /// service (the classic single-server queue: one-packet bursts with
+  /// no poll sweep).
   void set_burst_size(std::size_t burst_size) { burst_size_ = burst_size == 0 ? 1 : burst_size; }
   [[nodiscard]] std::size_t burst_size() const { return burst_size_; }
 
@@ -210,16 +213,20 @@ class ServicedNode : public Node {
   [[nodiscard]] std::uint64_t bursts_served() const { return bursts_served_; }
 
  protected:
-  /// Process one packet: mutate/forward it via port(i).send(...) and
-  /// return the compute cost in ns. Outputs scheduled inside service()
-  /// are delayed by that same cost (they leave when processing ends).
-  virtual SimNanos service(int in_port, net::Packet&& packet) = 0;
+  /// Process one packet: mutate/forward it via emit(...) and return
+  /// the compute cost in ns. Outputs emitted inside service() are
+  /// delayed by that same cost (they leave when processing ends).
+  /// Per-packet nodes override this and keep the default
+  /// service_burst(); a node that overrides service_burst() need not
+  /// (the default throws).
+  virtual SimNanos service(int in_port, net::Packet&& packet);
 
-  /// Process one burst and return its total compute cost. The default
-  /// serves packets one by one through service(), so nodes that never
-  /// override it keep per-packet semantics (costs sum; outputs still
-  /// leave together when the burst completes). SoftSwitch overrides
-  /// this with the batched cache-replay datapath.
+  /// Process one burst and return its total compute cost — the one
+  /// entry point of the service loop, called for every burst, a burst
+  /// of one included. The default serves packets one by one through
+  /// service(), so nodes that never override it keep per-packet
+  /// semantics (costs sum; outputs still leave together when the burst
+  /// completes). SoftSwitch overrides this with its whole datapath.
   virtual SimNanos service_burst(Burst&& burst) {
     SimNanos cost = 0;
     for (auto& [in_port, packet] : burst) cost += service(in_port, std::move(packet));
@@ -227,15 +234,16 @@ class ServicedNode : public Node {
   }
 
   /// Emit a packet from `out_port` once the current service completes.
-  /// Only valid while inside service().
+  /// Only valid while a burst is in service.
   void emit(std::size_t out_port, net::Packet&& packet);
 
-  /// True while service() is executing (emit() is legal).
+  /// True while a burst is in service (emit() is legal).
   [[nodiscard]] bool in_service() const { return in_service_; }
 
   /// RX queues polled by the burst currently in service (the serving
   /// core's whole queue subset) — service_burst() implementations bill
-  /// their per-queue poll cost from this.
+  /// their per-queue poll cost from this. Zero exactly for a per-packet
+  /// burst (budget 1), which sweeps nothing.
   [[nodiscard]] std::size_t queues_polled() const { return queues_polled_; }
 
   /// The worker core whose burst is currently in service — SoftSwitch

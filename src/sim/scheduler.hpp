@@ -126,11 +126,11 @@ struct SchedulerSpec {
   /// policy weights — a port with twice the quantum banks twice the
   /// credit per round and gets ~twice the goodput under overload.
   /// Ports beyond the vector (or with a 0 entry) use drr_quantum_bytes.
-  std::vector<std::size_t> drr_port_quantum_bytes;
+  std::vector<std::size_t> drr_port_quantum_bytes{};
   /// Adaptive burst sizing: each service step, a core's burst budget
   /// tracks its own backlog, clamped to [adaptive_min_burst, the
   /// node's burst_size]. Light load degrades to the per-packet
-  /// datapath (budget 1: flat rx_tx_ns, no per-queue poll sweep — the
+  /// datapath (budget 1: a burst of one, no per-queue poll sweep — the
   /// idle-poll bill disappears); overload runs the full batch and
   /// keeps the whole amortization win. Off by default: a fixed budget
   /// is what the burst-sweep ablations compare against.
@@ -296,10 +296,10 @@ class DrrScheduler final : public BurstScheduler {
 struct IngressSpec {
   std::size_t queue_capacity = 1024;
   std::size_t port_queue_capacity = 0;
-  SchedulerSpec scheduler;
+  SchedulerSpec scheduler{};
   /// Worker-core layout: queue -> core steering plus the core count.
   /// Every core gets its own scheduler instance built from `scheduler`.
-  CoreSpec cores;
+  CoreSpec cores{};
 };
 
 }  // namespace harmless::sim

@@ -941,98 +941,25 @@ void SoftSwitch::dispatch_result(PipelineResult& result, std::uint32_t in_of_por
   }
 }
 
-sim::SimNanos SoftSwitch::service(int in_port, net::Packet&& packet) {
-  const std::uint32_t in_of_port = static_cast<std::uint32_t>(in_port) + 1;
-  ++counters_.pipeline_runs;
-  packet.add_hop();
-
-  // Multi-core: one RSS steering hash per packet (cores=1 makes no
-  // steering decision and bills nothing — bit-exact with PR 4).
-  sim::SimNanos rss_ns = 0;
-  if (core_count() > 1) {
-    ++counters_.rss_steered;
-    rss_ns = costs_.rss_hash_ns;
-  }
-
-  if (restarting_) {
-    ++failover_stats_.dropped_restarting;
-    return costs_.rx_tx_ns + rss_ns;
-  }
-  if (!port_up(in_of_port)) {
-    ++counters_.drops_port_down;
-    return costs_.rx_tx_ns + rss_ns;
-  }
-  if (standalone_active()) {
-    // Fail-standalone degraded mode: MAC-learning datapath, no
-    // pipeline, no cache.
-    const sim::SimNanos bill = costs_.rx_tx_ns + rss_ns + costs_.standalone_ns;
-    return costs_.rx_tx_ns + rss_ns +
-           standalone_forward(in_of_port, std::move(packet), bill);
-  }
-
-  PipelineResult result =
-      pipeline_.run(std::move(packet), in_of_port, engine_.now(), current_core());
-  const sim::SimNanos cost =
-      costs_.packet_cost_ns(result, pipeline_.cache_enabled()) + rss_ns;
-  if (pipeline_.cache_enabled()) {
-    if (result.cache_hit)
-      ++counters_.cache_hits;
-    else
-      ++counters_.cache_misses;
-    observe_cache_epoch();
-  }
-
-  if (result.ct_commits != 0) {
-    schedule_ct_sweep();
-    schedule_ct_checkpoint();
-  }
-  dispatch_result(result, in_of_port, cost);
-  return cost;
-}
-
 sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
-  ++counters_.service_bursts;
+  // A burst that swept no RX queues is the per-packet datapath (budget
+  // 1): its one packet runs through Pipeline::run — no replay grouping,
+  // so no replay setup — and it counts no service burst. Its bill is
+  // then rx_tx_burst_ns + rx_tx_pkt_ns, the steering hash and the
+  // packet's marginal cost (DatapathCosts::packet_cost_ns).
+  const bool per_packet = queues_polled() == 0;
+  if (!per_packet) ++counters_.service_bursts;
   const std::size_t rx_packets = burst.size();
+  counters_.rx_queue_polls += queues_polled();
+  // Multi-core: one RSS steering hash per packet pulled by this core's
+  // rx burst (cores=1 bills nothing).
+  const std::size_t rss_hashes = core_count() > 1 ? rx_packets : 0;
+  counters_.rss_steered += rss_hashes;
 
-  if (restarting_ || standalone_active()) {
-    // Degraded-mode burst: the rx/poll overhead is still paid, but no
-    // pipeline or cache runs — packets are dropped (rebooting box) or
-    // MAC-bridged (fail-standalone) one by one.
-    const std::size_t rss_hashes = core_count() > 1 ? rx_packets : 0;
-    counters_.rss_steered += rss_hashes;
-    counters_.rx_queue_polls += queues_polled();
-    sim::SimNanos cost = costs_.rx_tx_burst_ns +
-                         static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns +
-                         static_cast<sim::SimNanos>(rx_packets) * costs_.rx_tx_pkt_ns +
-                         static_cast<sim::SimNanos>(rss_hashes) * costs_.rss_hash_ns;
-    sim::SimNanos shared_ns = costs_.rx_tx_pkt_ns;
-    if (rss_hashes != 0) shared_ns += costs_.rss_hash_ns;
-    if (rx_packets != 0)
-      shared_ns += (costs_.rx_tx_burst_ns +
-                    static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns) /
-                   static_cast<sim::SimNanos>(rx_packets);
-    for (auto& [in_port, packet] : burst) {
-      const std::uint32_t in_of_port = static_cast<std::uint32_t>(in_port) + 1;
-      ++counters_.pipeline_runs;
-      packet.add_hop();
-      if (restarting_) {
-        ++failover_stats_.dropped_restarting;
-        continue;
-      }
-      if (!port_up(in_of_port)) {
-        ++counters_.drops_port_down;
-        continue;
-      }
-      cost +=
-          standalone_forward(in_of_port, std::move(packet), shared_ns + costs_.standalone_ns);
-    }
-    return cost;
-  }
-
-  // Ingress admission per packet; down ports drop before the pipeline
-  // (they still occupied a slot in the rx burst). The staging vectors
-  // are members recycled across bursts — the service loop of one
-  // switch never re-enters itself.
+  // Ingress admission per packet: a rebooting box drops everything,
+  // down ports drop before the pipeline (both still occupied a slot in
+  // the rx burst). The staging vectors are members recycled across
+  // bursts — the service loop of one switch never re-enters itself.
   std::vector<BurstPacket>& items = burst_items_;
   std::vector<std::uint32_t>& in_of_ports = burst_in_ports_;  // parallel to items/results
   items.clear();
@@ -1043,6 +970,10 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
     const std::uint32_t in_of_port = static_cast<std::uint32_t>(in_port) + 1;
     ++counters_.pipeline_runs;
     packet.add_hop();
+    if (restarting_) {
+      ++failover_stats_.dropped_restarting;
+      continue;
+    }
     if (!port_up(in_of_port)) {
       ++counters_.drops_port_down;
       continue;
@@ -1051,30 +982,47 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
     in_of_ports.push_back(in_of_port);
   }
 
-  // Multi-core: one RSS steering hash per packet pulled by this core's
-  // rx burst (cores=1 bills nothing).
-  const std::size_t rss_hashes = core_count() > 1 ? rx_packets : 0;
-  counters_.rss_steered += rss_hashes;
-
-  const bool cache = pipeline_.cache_enabled();
+  // Degraded mode (rebooting box or fail-standalone): the rx/poll
+  // overhead is still paid, but no pipeline or cache runs — admitted
+  // packets are MAC-bridged one by one.
+  const bool degraded = restarting_ || standalone_active();
+  const bool cache = pipeline_.cache_enabled() && !degraded;
   BurstResult& result = burst_result_;
-  pipeline_.run_burst(items, engine_.now(), current_core(), result);
+  if (degraded) {
+    result.reset(0);
+  } else if (per_packet) {
+    result.reset(items.size());  // at most one
+    for (std::size_t i = 0; i < items.size(); ++i)
+      result.results[i] = pipeline_.run(std::move(items[i].packet), items[i].in_port,
+                                        engine_.now(), current_core());
+  } else {
+    pipeline_.run_burst(items, engine_.now(), current_core(), result);
+  }
   const sim::SimNanos cost =
       costs_.burst_cost_ns(result, cache, rx_packets, queues_polled(), rss_hashes);
   counters_.replay_groups += result.replay_groups;
-  counters_.rx_queue_polls += queues_polled();
 
   // Latency metadata: each packet carries its own marginal bill plus an
   // even share of the burst-level overhead (rx/tx setup, the per-queue
-  // poll sweep, its steering hash, group setups).
+  // poll sweep, its steering hash, group setups) — over every packet
+  // pulled in degraded mode, over the admitted ones otherwise.
+  const std::size_t sharers = degraded ? rx_packets : result.results.size();
   sim::SimNanos shared_ns = costs_.rx_tx_pkt_ns;
   if (rss_hashes != 0) shared_ns += costs_.rss_hash_ns;
-  if (!result.results.empty()) {
+  if (sharers != 0) {
     sim::SimNanos overhead =
         costs_.rx_tx_burst_ns + static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns;
     if (cache)
       overhead += static_cast<sim::SimNanos>(result.replay_groups) * costs_.replay_setup_ns;
-    shared_ns += overhead / static_cast<sim::SimNanos>(result.results.size());
+    shared_ns += overhead / static_cast<sim::SimNanos>(sharers);
+  }
+
+  if (degraded) {
+    sim::SimNanos bridged = 0;
+    for (std::size_t i = 0; i < items.size(); ++i)
+      bridged += standalone_forward(in_of_ports[i], std::move(items[i].packet),
+                                    shared_ns + costs_.standalone_ns);
+    return cost + bridged;
   }
 
   for (std::size_t i = 0; i < result.results.size(); ++i) {

@@ -8,7 +8,7 @@
 //     (the SS_1<->SS_2 interconnect of Fig. 1): delivery is a queue
 //     hand-off that costs kPatchNs of compute instead of wire time.
 //
-// The datapath is two-tier cached (openflow/flow_cache.hpp): service()
+// The datapath is two-tier cached (openflow/flow_cache.hpp): service
 // consults the microflow/megaflow cache first and only falls back to
 // the full multi-table traversal on a miss, which then installs the
 // learned megaflow. Flow-mods, group mods, entry expiry and port
@@ -18,8 +18,11 @@
 // drains up to `burst_size` packets per gulp (default 32) and runs
 // them through Pipeline::run_burst — probe the cache for the whole
 // burst, replay hits grouped by megaflow (one replay setup per group),
-// slow-path only the residue. With burst_size 1 it degrades to the
-// per-packet datapath (the batching ablation baseline).
+// slow-path only the residue. service_burst is the one service
+// routine: with burst_size 1 (or an adaptive budget of 1) it serves a
+// burst of one through Pipeline::run with no poll sweep and no replay
+// setup — the per-packet datapath, kept as the batching ablation
+// baseline.
 //
 // The datapath is multi-core capable (IngressSpec::cores): each worker
 // core owns a subset of the per-port RX queues (RSS-hash steered, pin
@@ -35,9 +38,9 @@
 // only); cores=1 is bit-exact with the single-core datapath.
 //
 // The datapath charges simulated nanoseconds accordingly: per burst, a
-// fixed rx/tx overhead plus a smaller per-packet marginal (their sum
-// at burst size 1 equals the per-packet rx_tx_ns — batching buys the
-// super-linear gain real switches see), a replay setup per distinct
+// fixed rx/tx overhead plus a smaller per-packet marginal (a burst of
+// one pays both in full — batching buys the super-linear gain real
+// switches see), a replay setup per distinct
 // megaflow group, and per packet either the flat cache-hit cost plus
 // replayed actions or the full parse/lookup/action bill the pipeline
 // reports plus the megaflow-insert cost (only when a megaflow was
@@ -89,20 +92,19 @@
 namespace harmless::softswitch {
 
 struct DatapathCosts {
-  sim::SimNanos rx_tx_ns = 55;   // NIC RX + TX per packet (per-packet datapath, burst_size 1)
-  /// Batched rx/tx: one poll-mode rx burst + tx burst costs a fixed
-  /// setup plus a small marginal per packet. Defaults keep the
-  /// identity rx_tx_burst_ns + rx_tx_pkt_ns == rx_tx_ns, so a
-  /// one-packet burst pays what the per-packet datapath pays for rx/tx
-  /// (the batched path still adds its replay_setup_ns — polling for a
-  /// single packet is how batching loses at burst size 1).
+  /// NIC rx/tx: one poll-mode rx burst + tx burst costs a fixed setup
+  /// plus a small marginal per packet. The per-packet datapath
+  /// (burst_size 1) pays both for its one packet — 55 ns at the
+  /// defaults; the batched path amortizes the setup over the burst
+  /// (and adds its replay_setup_ns — polling for a single packet is
+  /// how batching loses at burst size 1).
   sim::SimNanos rx_tx_burst_ns = 40;  // fixed per rx/tx burst call
   sim::SimNanos rx_tx_pkt_ns = 15;    // marginal per packet within a burst
-  /// Poll-mode rx sweep: every service burst polls every per-port RX
-  /// queue the serving core owns once, empty or not — port density
-  /// costs cycles even when the ports are silent (charged per queue
-  /// per burst; the per-packet burst_size-1 datapath keeps the flat
-  /// rx_tx_ns instead).
+  /// Poll-mode rx sweep: every batched service burst polls every
+  /// per-port RX queue the serving core owns once, empty or not — port
+  /// density costs cycles even when the ports are silent (charged per
+  /// queue per burst; the per-packet burst_size-1 datapath sweeps
+  /// nothing).
   sim::SimNanos rx_poll_ns = 2;
   /// RSS steering: one hash per packet deciding which worker core's
   /// queue it lands in (what a NIC's RSS indirection table computes
@@ -173,16 +175,21 @@ struct DatapathCosts {
   }
 
   /// The full per-packet bill for one pipeline result on the
-  /// per-packet datapath — the single source of truth shared by
-  /// SoftSwitch::service and the capacity benches (bench_throughput
-  /// Table 3).
+  /// per-packet datapath: rx/tx for a burst of one plus the marginal.
+  /// Equals burst_cost_ns for a one-packet burst with no poll sweep,
+  /// replay group or steering hash — what SoftSwitch bills a
+  /// per-packet burst — and is what the capacity benches
+  /// (bench_throughput Tables 3 and 6) charge per packet.
   [[nodiscard]] sim::SimNanos packet_cost_ns(const openflow::PipelineResult& result,
                                              bool cache_enabled) const {
-    return rx_tx_ns + marginal_cost_ns(result, cache_enabled);
+    return rx_tx_burst_ns + rx_tx_pkt_ns + marginal_cost_ns(result, cache_enabled);
   }
 
   /// The full bill for one service burst — shared by
-  /// SoftSwitch::service_burst and the burst-sweep bench.
+  /// SoftSwitch::service_burst (every burst, per-packet and degraded
+  /// ones included) and the burst-sweep bench. An empty `burst` bills
+  /// only the rx/tx, poll and steering overhead (a degraded burst, or
+  /// packets dropped at ingress).
   /// `rx_packets` is what the rx burst actually pulled (may exceed
   /// burst.results when ingress-down packets were dropped pre-pipeline);
   /// `queues_polled` is the per-port RX queues the serving core's poll
@@ -348,7 +355,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     std::uint64_t cache_subtable_probes = 0;  // cumulative hashed tier-2 probes; divide by
                                               // tier-2 lookups for probes-per-lookup
     // Burst service loop (zero when burst_size is 1):
-    std::uint64_t service_bursts = 0;      // bursts drained by service_burst
+    std::uint64_t service_bursts = 0;      // batched bursts drained (not per-packet ones)
     std::uint64_t replay_groups = 0;       // megaflow groups replayed across bursts
     std::uint64_t rx_queue_polls = 0;      // per-port RX queues polled across bursts
     // Multi-core datapath (zero with one core):
@@ -510,7 +517,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   }
 
  protected:
-  sim::SimNanos service(int in_port, net::Packet&& packet) override;
   sim::SimNanos service_burst(sim::ServicedNode::Burst&& burst) override;
   void transmit(std::size_t out_port, net::Packet&& packet) override;
 

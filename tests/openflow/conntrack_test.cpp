@@ -3,6 +3,9 @@
 // property the symmetric-RSS datapath depends on).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "net/l4.hpp"
 #include "openflow/conntrack.hpp"
 #include "util/rng.hpp"
@@ -221,6 +224,48 @@ TEST(ConnTracker, CheckpointSerializeParseRoundTrips) {
   std::vector<std::uint8_t> padded = bytes;
   padded.push_back(0);
   EXPECT_FALSE(CtSnapshot::parse(padded).has_value());
+}
+
+TEST(ConnTracker, ParseRejectsACountTheImageCannotHold) {
+  // A bare 18-byte header claiming 0xFFFFFFFF entries: the count is
+  // bounded by the bytes that follow before anything is reserved, so
+  // this is a clean nullopt, not a multi-gigabyte allocation.
+  std::vector<std::uint8_t> bytes = CtSnapshot{}.serialize();
+  ASSERT_EQ(bytes.size(), 18u);
+  for (std::size_t i = 14; i < 18; ++i) bytes[i] = 0xff;
+  std::optional<CtSnapshot> parsed;
+  EXPECT_NO_THROW(parsed = CtSnapshot::parse(bytes));
+  EXPECT_FALSE(parsed.has_value());
+}
+
+TEST(ConnTracker, ParseRejectsFieldValuesSerializeNeverWrites) {
+  CtSnapshot snap;
+  snap.entries.push_back(CtSnapshotEntry{tuple(1, 1, 2, 2), tuple(2, 2, 1, 1), CtNat{}, true,
+                                         false, 500});
+  const std::vector<std::uint8_t> bytes = snap.serialize();
+  ASSERT_TRUE(CtSnapshot::parse(bytes).has_value());
+  // Entry layout after the 18-byte header: two 13-byte tuples, then
+  // NAT kind (offset 44), NAT ip/port, flags (51), remaining_ns (52..59).
+  constexpr std::size_t kNatKind = 44;
+  constexpr std::size_t kFlags = 51;
+  constexpr std::size_t kRemaining = 52;
+  auto with = [&bytes](std::size_t at, std::uint8_t value, std::size_t count = 1) {
+    std::vector<std::uint8_t> out = bytes;
+    for (std::size_t i = at; i < at + count; ++i) out[i] = value;
+    return out;
+  };
+  // The reproducer: NAT kind 238 with remaining_ns = -1.
+  EXPECT_FALSE(CtSnapshot::parse(with(kRemaining, 0xff, 8)).has_value());
+  std::vector<std::uint8_t> both = with(kRemaining, 0xff, 8);
+  both[kNatKind] = 238;
+  EXPECT_FALSE(CtSnapshot::parse(both).has_value());
+  EXPECT_FALSE(CtSnapshot::parse(with(kNatKind, 238)).has_value());
+  EXPECT_FALSE(CtSnapshot::parse(with(kNatKind, 3)).has_value());  // one past kDest
+  EXPECT_FALSE(CtSnapshot::parse(with(kFlags, 0x04)).has_value());
+  EXPECT_FALSE(CtSnapshot::parse(with(kRemaining, 0x00, 8)).has_value());
+  // Every legal value still parses.
+  EXPECT_TRUE(CtSnapshot::parse(with(kNatKind, 2)).has_value());  // kDest
+  EXPECT_TRUE(CtSnapshot::parse(with(kFlags, 0x03)).has_value());
 }
 
 TEST(ConnTracker, RestoreDropsMidHandshakeEntriesAndCollisions) {

@@ -89,7 +89,7 @@ struct Driver {
   std::uint64_t seed;
   int max_depth;
   std::uint64_t next_id = 0;
-  std::vector<std::pair<std::uint64_t, SimNanos>> log;
+  std::vector<std::pair<std::uint64_t, SimNanos>> log{};
 
   void spawn(int depth, SimNanos at) {
     const std::uint64_t id = next_id++;

@@ -254,12 +254,12 @@ TEST(FaultEquivalence, DerivedTargetNamesCoverTheFabric) {
   sim::FaultInjector injector(rig.network.engine());
   rig.fabric->register_faults(injector, rig.network);
 
-  // Legacy aliases stay registered — existing plans keep working.
-  for (const char* name : {"trunk", "control", "ss1", "ss2"})
-    EXPECT_TRUE(injector.has_target(name)) << name;
   // Derived names: every component self-registers.
   for (const char* name : {"switch:SS_1", "switch:SS_2", "control:SS_2", "trunk:leg0"})
     EXPECT_TRUE(injector.has_target(name)) << name;
+  // The hard-coded short names are gone; only derived names remain.
+  for (const char* name : {"trunk", "control", "ss1", "ss2"})
+    EXPECT_FALSE(injector.has_target(name)) << name;
   // The whole-network surface: one "link:<label>" per channel.
   const std::vector<std::string> names = injector.target_names();
   std::size_t links = 0;

@@ -1,5 +1,6 @@
 // Robustness fuzzing for every parser that consumes external input:
-// vendor config text, OIDs, raw frames, pcap files. The property is
+// vendor config text, OIDs, raw frames, pcap files, conntrack
+// snapshot images. The property is
 // uniform — any byte soup either parses or returns a clean error;
 // nothing throws, crashes or reads out of bounds (ASAN-clean by
 // construction: all paths go through bounds-checked span reads).
@@ -8,8 +9,10 @@
 #include "mgmt/dialects.hpp"
 #include "mgmt/oid.hpp"
 #include "net/build.hpp"
+#include "net/l4.hpp"
 #include "net/parse.hpp"
 #include "net/pcap.hpp"
+#include "openflow/conntrack.hpp"
 #include "util/rng.hpp"
 
 namespace harmless {
@@ -139,6 +142,41 @@ TEST_P(ParserFuzz, PcapParserHandlesRandomBytes) {
       for (auto& byte : file) byte = static_cast<std::uint8_t>(rng.below(256));
     }
     EXPECT_NO_THROW({ auto records = net::pcap_parse(file); (void)records; });
+  }
+}
+
+TEST_P(ParserFuzz, CtSnapshotParseHandlesMutatedImages) {
+  util::Rng rng(GetParam());
+  // A valid image holding plain and SNAT entries.
+  openflow::ConnTracker ct(openflow::CtConfig{}, 1);
+  const openflow::CtAction snat{openflow::CtAction::Nat::kSource, 0xc0a80001, 49152, 65535};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const openflow::CtTuple tuple{0x0a000001 + i, 0x08080808,
+                                  static_cast<std::uint16_t>(40000 + i), 80, 6};
+    ct.process(tuple, net::kTcpSyn, 100, i % 2 == 0 ? snat : openflow::CtAction{});
+  }
+  const std::vector<std::uint8_t> valid = ct.checkpoint(1'000).serialize();
+
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<std::uint8_t> image = valid;
+    // Overwrite a few bytes — the count field among them a quarter of
+    // the time — then maybe truncate or extend.
+    for (int edit = 0; edit < 3; ++edit)
+      image[rng.below(image.size())] = static_cast<std::uint8_t>(rng.below(256));
+    if (rng.chance(0.25))
+      image[14 + rng.below(4)] = static_cast<std::uint8_t>(rng.below(256));
+    if (rng.chance(0.2)) image.resize(rng.below(image.size() + 1));
+    if (rng.chance(0.1)) image.push_back(static_cast<std::uint8_t>(rng.below(256)));
+    EXPECT_NO_THROW({
+      const auto parsed = openflow::CtSnapshot::parse(image);
+      // The decoder is exact: whatever it accepts re-serializes to the
+      // same bytes, and carries only values serialize() can write.
+      if (parsed) {
+        EXPECT_EQ(parsed->serialize(), image);
+        for (const openflow::CtSnapshotEntry& entry : parsed->entries)
+          EXPECT_GT(entry.remaining_ns, 0);
+      }
+    });
   }
 }
 
