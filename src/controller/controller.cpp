@@ -1,7 +1,5 @@
 #include "controller/controller.hpp"
 
-#include "sim/witness.hpp"
-
 namespace harmless::controller {
 
 using namespace openflow;
@@ -173,9 +171,6 @@ void Controller::fault_crash() {
   // channels — the observable difference between a dead controller and
   // a partitioned one (dropped_down).
   for (const auto& session : sessions_) session->detach();
-  // The co-hosted lease arbiter dies with the process (fails closed:
-  // no grants, so nobody promotes while the arbiter is down).
-  if (witness_ != nullptr) witness_->fault_crash();
 }
 
 void Controller::fault_restart() {
@@ -186,8 +181,6 @@ void Controller::fault_restart() {
   // plus what on_reconnect re-derives); every known datapath gets a
   // fresh handshake with the resync path armed.
   for (const auto& session : sessions_) session->restart_handshake();
-  // The arbiter comes back with its epoch ledger intact (durable).
-  if (witness_ != nullptr) witness_->fault_restart();
 }
 
 void Controller::dispatch(Session& session, Message&& message) {

@@ -29,10 +29,6 @@
 #include "openflow/messages.hpp"
 #include "sim/faults.hpp"
 
-namespace harmless::sim {
-class Witness;
-}  // namespace harmless::sim
-
 namespace harmless::controller {
 
 class Controller;
@@ -174,14 +170,6 @@ class Controller : public sim::FaultPoint {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Host the HA lease arbiter in this controller's process: the
-  /// witness fate-shares with the controller — a crashed controller
-  /// grants no leases (which fails closed: nobody can promote), and a
-  /// restart resumes arbitration with the epoch ledger intact. The
-  /// witness must outlive the controller.
-  void host_witness(sim::Witness& witness) { witness_ = &witness; }
-  [[nodiscard]] sim::Witness* hosted_witness() const { return witness_; }
-
   // sim::FaultPoint: process death and supervised restart. Crash stops
   // every session from receiving; restart re-handshakes them all with
   // full-state resync.
@@ -204,7 +192,6 @@ class Controller : public sim::FaultPoint {
   std::vector<std::unique_ptr<Session>> sessions_;
   Stats stats_;
   bool crashed_ = false;
-  sim::Witness* witness_ = nullptr;  // co-hosted lease arbiter, if any
 };
 
 }  // namespace harmless::controller

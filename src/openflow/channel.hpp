@@ -50,9 +50,6 @@ class ControlChannel : public sim::FaultPoint {
   void set_controller_handler(std::function<void(Message&&)> handler) {
     controller_handler_ = std::move(handler);
   }
-  [[nodiscard]] bool has_controller_handler() const {
-    return static_cast<bool>(controller_handler_);
-  }
 
   // ---- controller side ----
   void send_to_switch(Message message);
@@ -78,7 +75,6 @@ class ControlChannel : public sim::FaultPoint {
   /// pipe. This is what makes full-state resync time scale with the
   /// number of re-installed flows.
   void set_min_gap(sim::SimNanos gap_ns) { min_gap_ns_ = gap_ns; }
-  [[nodiscard]] sim::SimNanos min_gap() const { return min_gap_ns_; }
 
   // sim::FaultPoint: partitions and impairments via the injector.
   void fault_set_up(bool up) override { set_up(up); }
@@ -99,9 +95,6 @@ class ControlChannel : public sim::FaultPoint {
   [[nodiscard]] const DirectionStats& to_controller() const { return to_controller_stats_; }
   [[nodiscard]] const DirectionStats& to_switch() const { return to_switch_stats_; }
 
-  /// Historical send counters (kept for existing callers; == sent).
-  [[nodiscard]] std::uint64_t to_controller_count() const { return to_controller_stats_.sent; }
-  [[nodiscard]] std::uint64_t to_switch_count() const { return to_switch_stats_.sent; }
   [[nodiscard]] sim::SimNanos latency() const { return latency_; }
 
  private:

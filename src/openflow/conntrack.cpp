@@ -1,12 +1,62 @@
 #include "openflow/conntrack.hpp"
 
+#include <unordered_set>
+
 #include "net/ip.hpp"
 #include "net/l4.hpp"
 
 namespace harmless::openflow {
 
 namespace {
+
 constexpr std::uint8_t kProtoTcp = static_cast<std::uint8_t>(net::IpProto::kTcp);
+
+CtSnapshotEntry to_wire(const ConnEntry& e, sim::SimNanos now) {
+  return CtSnapshotEntry{e.orig, e.reply, e.nat, e.seen_reply, e.closing,
+                         e.expires_at > now ? e.expires_at - now : 0};
+}
+
+/// A streamed or checkpointed connection as a fresh, confirmed entry
+/// armed against this clock (packet counters start at zero).
+ConnEntry from_wire(const CtSnapshotEntry& e, sim::SimNanos now) {
+  ConnEntry entry;
+  entry.orig = e.orig;
+  entry.reply = e.reply;
+  entry.nat = e.nat;
+  entry.seen_reply = e.seen_reply;
+  entry.closing = e.closing;
+  entry.last_seen = now;
+  entry.expires_at = now + e.remaining_ns;
+  return entry;
+}
+
+/// The stored NAT mapping as a rewrite of one packet. The original
+/// direction gets the mapping itself; a reply gets the endpoint the
+/// mapping replaced: un-SNAT sends it back to the inside host as its
+/// destination, un-DNAT restores the virtual destination as its source.
+CtRewrite rewrite_for(const ConnEntry& entry, bool reply_dir) {
+  CtRewrite rewrite;
+  const CtNat& nat = entry.nat;
+  if (nat.kind == CtAction::Nat::kNone) return rewrite;
+  const bool snat = nat.kind == CtAction::Nat::kSource;
+  std::uint32_t ip = nat.ip;
+  std::uint16_t port = nat.port;
+  if (reply_dir) {
+    ip = snat ? entry.orig.src_ip : entry.orig.dst_ip;
+    port = snat ? entry.orig.src_port : entry.orig.dst_port;
+  }
+  if (snat != reply_dir) {
+    rewrite.src = true;
+    rewrite.src_ip = ip;
+    rewrite.src_port = port;
+  } else {
+    rewrite.dst = true;
+    rewrite.dst_ip = ip;
+    rewrite.dst_port = port;
+  }
+  return rewrite;
+}
+
 }  // namespace
 
 std::uint64_t ConnTracker::classify_entry(const Slot& slot, bool reply_dir) const {
@@ -25,18 +75,14 @@ std::uint64_t ConnTracker::classify_entry(const Slot& slot, bool reply_dir) cons
 std::uint64_t ConnTracker::classify(const CtTuple& tuple, std::uint8_t tcp_flags,
                                     sim::SimNanos now) {
   ++stats_.lookups;
-  if (auto it = orig_map_.find(tuple); it != orig_map_.end()) {
-    const Slot& slot = slots_[it->second];
-    if (slot.entry.expires_at > now) {
-      ++stats_.hits;
-      return classify_entry(slot, false);
-    }
-  }
-  if (auto it = reply_map_.find(tuple); it != reply_map_.end()) {
-    const Slot& slot = slots_[it->second];
-    if (slot.entry.expires_at > now) {
-      ++stats_.hits;
-      return classify_entry(slot, true);
+  for (const bool reply_dir : {false, true}) {
+    const auto& map = reply_dir ? reply_map_ : orig_map_;
+    if (auto it = map.find(tuple); it != map.end()) {
+      const Slot& slot = slots_[it->second];
+      if (slot.entry.expires_at > now) {
+        ++stats_.hits;
+        return classify_entry(slot, reply_dir);
+      }
     }
   }
   if (tuple.proto == kProtoTcp && (tcp_flags & net::kTcpSyn) == 0) {
@@ -100,14 +146,54 @@ void ConnTracker::emit_delta(CtDelta::Kind kind, const ConnEntry& entry, sim::Si
   if (!delta_sink_) return;
   CtDelta delta;
   delta.kind = kind;
-  delta.entry = CtSnapshotEntry{entry.orig, entry.reply, entry.nat, entry.seen_reply,
-                                entry.closing,
-                                entry.expires_at > now ? entry.expires_at - now : 0};
+  delta.entry = to_wire(entry, now);
   ++stats_.deltas_emitted;
   delta_sink_(delta);
 }
 
-void ConnTracker::kill(std::uint32_t id, bool /*expired*/, sim::SimNanos now) {
+std::uint32_t ConnTracker::insert(const ConnEntry& entry) {
+  const std::uint32_t id = allocate_slot();
+  Slot& slot = slots_[id];
+  slot.entry = entry;
+  slot.live = true;
+  orig_map_.emplace(entry.orig, id);
+  reply_map_.emplace(entry.reply, id);
+  lru_push_front(id);
+  file_deadline(id, slot);
+  dirty_ = true;
+  return id;
+}
+
+void ConnTracker::overwrite(std::uint32_t id, const CtSnapshotEntry& e, sim::SimNanos now) {
+  Slot& slot = slots_[id];
+  slot.entry.nat = e.nat;
+  slot.entry.seen_reply = e.seen_reply;
+  slot.entry.closing = e.closing;
+  slot.entry.confirmed = true;
+  slot.entry.last_seen = now;
+  slot.entry.expires_at = now + e.remaining_ns;
+  lru_touch(id);
+  file_deadline(id, slot);
+  dirty_ = true;
+}
+
+void ConnTracker::demote(std::uint32_t id, sim::SimNanos now) {
+  Slot& slot = slots_[id];
+  slot.entry.confirmed = false;
+  const sim::SimNanos cap = now + timeout_for(slot.entry);
+  if (slot.entry.expires_at > cap) {
+    slot.entry.expires_at = cap;
+    file_deadline(id, slot);
+  }
+}
+
+void ConnTracker::make_room(sim::SimNanos now) {
+  if (orig_map_.size() < config_.max_connections || lru_tail_ == kNil) return;
+  kill(lru_tail_, now);
+  ++stats_.evicted;
+}
+
+void ConnTracker::kill(std::uint32_t id, sim::SimNanos now) {
   Slot& slot = slots_[id];
   dirty_ = true;
   emit_delta(CtDelta::Kind::kClose, slot.entry, now);
@@ -182,55 +268,22 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
   // Lazy expiry: an entry past its deadline is dead even if the sweep
   // has not reaped it yet — identical behavior to the classifier
   // prelude, which already treats it as missing.
-  if (auto it = orig_map_.find(tuple); it != orig_map_.end()) {
+  for (const bool reply_dir : {false, true}) {
+    const auto& map = reply_dir ? reply_map_ : orig_map_;
+    const auto it = map.find(tuple);
+    if (it == map.end()) continue;
     const std::uint32_t id = it->second;
-    if (slots_[id].entry.expires_at <= now) {
-      kill(id, true, now);
+    Slot& slot = slots_[id];
+    if (slot.entry.expires_at <= now) {
+      kill(id, now);
       ++stats_.expired;
-    } else {
-      Slot& slot = slots_[id];
-      out.state = classify_entry(slot, false);
-      refresh(slot, id, false, tcp_flags, now);
-      const CtNat& nat = slot.entry.nat;
-      if (nat.kind == CtAction::Nat::kSource) {
-        out.rewrite = true;
-        out.translation.src = true;
-        out.translation.src_ip = nat.ip;
-        out.translation.src_port = nat.port;
-      } else if (nat.kind == CtAction::Nat::kDest) {
-        out.rewrite = true;
-        out.translation.dst = true;
-        out.translation.dst_ip = nat.ip;
-        out.translation.dst_port = nat.port;
-      }
-      return out;
+      continue;
     }
-  }
-  if (auto it = reply_map_.find(tuple); it != reply_map_.end()) {
-    const std::uint32_t id = it->second;
-    if (slots_[id].entry.expires_at <= now) {
-      kill(id, true, now);
-      ++stats_.expired;
-    } else {
-      Slot& slot = slots_[id];
-      out.state = classify_entry(slot, true);
-      refresh(slot, id, true, tcp_flags, now);
-      const ConnEntry& entry = slot.entry;
-      if (entry.nat.kind == CtAction::Nat::kSource) {
-        // Un-SNAT: send the reply back to the original inside host.
-        out.rewrite = true;
-        out.translation.dst = true;
-        out.translation.dst_ip = entry.orig.src_ip;
-        out.translation.dst_port = entry.orig.src_port;
-      } else if (entry.nat.kind == CtAction::Nat::kDest) {
-        // Un-DNAT: restore the original (virtual) destination as source.
-        out.rewrite = true;
-        out.translation.src = true;
-        out.translation.src_ip = entry.orig.dst_ip;
-        out.translation.src_port = entry.orig.dst_port;
-      }
-      return out;
-    }
+    out.state = classify_entry(slot, reply_dir);
+    refresh(slot, id, reply_dir, tcp_flags, now);
+    out.rewrite = slot.entry.nat.kind != CtAction::Nat::kNone;
+    out.translation = rewrite_for(slot.entry, reply_dir);
+    return out;
   }
 
   // Miss: commit a new connection. A fenced shard (lease lost) must
@@ -261,10 +314,6 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
     nat = CtNat{CtAction::Nat::kSource, spec.nat_ip, *port};
     reply = CtTuple{tuple.dst_ip, spec.nat_ip, tuple.dst_port, *port, tuple.proto};
     ++stats_.nat_allocated;
-    out.rewrite = true;
-    out.translation.src = true;
-    out.translation.src_ip = nat.ip;
-    out.translation.src_port = nat.port;
   } else if (spec.nat == CtAction::Nat::kDest) {
     const std::uint16_t port = spec.port_min != 0 ? spec.port_min : tuple.dst_port;
     nat = CtNat{CtAction::Nat::kDest, spec.nat_ip, port};
@@ -275,10 +324,6 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
       return out;
     }
     ++stats_.nat_allocated;
-    out.rewrite = true;
-    out.translation.dst = true;
-    out.translation.dst_ip = nat.ip;
-    out.translation.dst_port = nat.port;
   } else if (reply_map_.contains(reply)) {
     // Degenerate self-conflict (e.g. a palindromic tuple already
     // tracked the other way): refuse rather than corrupt the maps.
@@ -287,29 +332,20 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
     return out;
   }
 
-  if (orig_map_.size() >= config_.max_connections && lru_tail_ != kNil) {
-    kill(lru_tail_, false, now);
-    ++stats_.evicted;
-  }
-
-  const std::uint32_t id = allocate_slot();
-  Slot& slot = slots_[id];
-  slot.entry = ConnEntry{};
-  slot.entry.orig = tuple;
-  slot.entry.reply = reply;
-  slot.entry.nat = nat;
-  slot.entry.last_seen = now;
-  slot.entry.packets_orig = 1;
-  slot.entry.expires_at = now + timeout_for(slot.entry);
-  slot.live = true;
-  orig_map_.emplace(tuple, id);
-  reply_map_.emplace(reply, id);
-  lru_push_front(id);
-  file_deadline(id, slot);
-  dirty_ = true;
+  make_room(now);
+  ConnEntry entry;
+  entry.orig = tuple;
+  entry.reply = reply;
+  entry.nat = nat;
+  entry.last_seen = now;
+  entry.packets_orig = 1;
+  entry.expires_at = now + timeout_for(entry);
+  insert(entry);
   ++stats_.created;
   out.committed = true;
-  emit_delta(CtDelta::Kind::kCommit, slot.entry, now);
+  out.rewrite = nat.kind != CtAction::Nat::kNone;
+  out.translation = rewrite_for(entry, false);
+  emit_delta(CtDelta::Kind::kCommit, entry, now);
   return out;
 }
 
@@ -321,7 +357,7 @@ std::size_t ConnTracker::expire(sim::SimNanos now) {
       Slot& slot = slots_[id];
       if (!slot.live || slot.generation != generation) continue;
       if (slot.entry.expires_at <= now) {
-        kill(id, true, now);
+        kill(id, now);
         ++stats_.expired;
         ++expired;
       } else {
@@ -482,10 +518,8 @@ CtSnapshot ConnTracker::checkpoint(sim::SimNanos now) {
   snap.entries.reserve(orig_map_.size());
   for (const Slot& slot : slots_) {
     if (!slot.live) continue;
-    const ConnEntry& e = slot.entry;
-    if (e.expires_at <= now) continue;  // already dead, just unswept
-    snap.entries.push_back(CtSnapshotEntry{e.orig, e.reply, e.nat, e.seen_reply, e.closing,
-                                           e.expires_at - now});
+    if (slot.entry.expires_at <= now) continue;  // already dead, just unswept
+    snap.entries.push_back(to_wire(slot.entry, now));
   }
   ++stats_.checkpoints;
   return snap;
@@ -506,24 +540,11 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
       ++stats_.restore_dropped;
       continue;
     }
-    const std::uint32_t id = allocate_slot();
-    Slot& slot = slots_[id];
-    slot.entry = ConnEntry{};
-    slot.entry.orig = e.orig;
-    slot.entry.reply = e.reply;
-    slot.entry.nat = e.nat;
-    slot.entry.seen_reply = e.seen_reply;
-    slot.entry.closing = e.closing;
-    slot.entry.confirmed = false;  // demoted until traffic re-confirms
-    slot.entry.last_seen = now;
-    const sim::SimNanos cap = timeout_for(slot.entry);  // transient for TCP
-    slot.entry.expires_at = now + (e.remaining_ns < cap ? e.remaining_ns : cap);
-    slot.live = true;
-    orig_map_.emplace(e.orig, id);
-    reply_map_.emplace(e.reply, id);
-    lru_push_front(id);
-    file_deadline(id, slot);
-    dirty_ = true;
+    ConnEntry entry = from_wire(e, now);
+    entry.confirmed = false;  // demoted until traffic re-confirms
+    const sim::SimNanos cap = timeout_for(entry);  // transient for TCP
+    entry.expires_at = now + (e.remaining_ns < cap ? e.remaining_ns : cap);
+    insert(entry);
     ++result.restored;
     ++stats_.restored;
   }
@@ -538,9 +559,7 @@ void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
   const auto it = orig_map_.find(e.orig);
 
   if (delta.kind == CtDelta::Kind::kClose) {
-    if (it != orig_map_.end() && slots_[it->second].entry.reply == e.reply) {
-      kill(it->second, false, now);
-    }
+    if (it != orig_map_.end() && slots_[it->second].entry.reply == e.reply) kill(it->second, now);
     return;
   }
 
@@ -548,17 +567,7 @@ void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
     // In-place advance of a connection we already mirror. A reply-tuple
     // mismatch means a different connection owns the key: drop rather
     // than corrupt the reverse map.
-    Slot& slot = slots_[it->second];
-    if (!(slot.entry.reply == e.reply)) return;
-    slot.entry.seen_reply = e.seen_reply;
-    slot.entry.closing = e.closing;
-    slot.entry.nat = e.nat;
-    slot.entry.confirmed = true;
-    slot.entry.last_seen = now;
-    slot.entry.expires_at = now + e.remaining_ns;
-    lru_touch(it->second);
-    file_deadline(it->second, slot);
-    dirty_ = true;
+    if (slots_[it->second].entry.reply == e.reply) overwrite(it->second, e, now);
     return;
   }
 
@@ -568,40 +577,15 @@ void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
       reply_map_.contains(e.orig)) {
     return;
   }
-  if (orig_map_.size() >= config_.max_connections && lru_tail_ != kNil) {
-    kill(lru_tail_, false, now);
-    ++stats_.evicted;
-  }
-  const std::uint32_t id = allocate_slot();
-  Slot& slot = slots_[id];
-  slot.entry = ConnEntry{};
-  slot.entry.orig = e.orig;
-  slot.entry.reply = e.reply;
-  slot.entry.nat = e.nat;
-  slot.entry.seen_reply = e.seen_reply;
-  slot.entry.closing = e.closing;
-  slot.entry.confirmed = true;  // the live stream itself vouches for it
-  slot.entry.last_seen = now;
-  slot.entry.expires_at = now + e.remaining_ns;
-  slot.live = true;
-  orig_map_.emplace(e.orig, id);
-  reply_map_.emplace(e.reply, id);
-  lru_push_front(id);
-  file_deadline(id, slot);
-  dirty_ = true;
+  make_room(now);
+  insert(from_wire(e, now));  // confirmed: the live stream itself vouches for it
 }
 
 std::size_t ConnTracker::demote_all(sim::SimNanos now) {
   std::size_t demoted = 0;
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
-    Slot& slot = slots_[id];
-    if (!slot.live) continue;
-    slot.entry.confirmed = false;
-    const sim::SimNanos cap = now + timeout_for(slot.entry);
-    if (slot.entry.expires_at > cap) {
-      slot.entry.expires_at = cap;
-      file_deadline(id, slot);
-    }
+    if (!slots_[id].live) continue;
+    demote(id, now);
     ++demoted;
   }
   if (demoted != 0) dirty_ = true;
@@ -610,7 +594,7 @@ std::size_t ConnTracker::demote_all(sim::SimNanos now) {
 
 std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   std::size_t upserts = 0;
-  std::unordered_map<std::uint32_t, bool> covered;  // slot id -> authoritative
+  std::unordered_set<std::uint32_t> covered;  // slot ids the snapshot vouched for
   covered.reserve(snapshot.entries.size());
 
   for (const CtSnapshotEntry& e : snapshot.entries) {
@@ -620,53 +604,22 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     // (kill() may emit a kClose delta; the HA layer's sink is
     // role/fence-gated, so a resyncing box never echoes these out.)
     for (const CtTuple* t : {&e.orig, &e.reply}) {
-      if (auto it = orig_map_.find(*t); it != orig_map_.end()) {
-        const Slot& s = slots_[it->second];
-        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(it->second, false, now);
-      }
-      if (auto it = reply_map_.find(*t); it != reply_map_.end()) {
-        const Slot& s = slots_[it->second];
-        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(it->second, false, now);
+      for (auto* map : {&orig_map_, &reply_map_}) {
+        if (auto it = map->find(*t); it != map->end()) {
+          const ConnEntry& local = slots_[it->second].entry;
+          if (!(local.orig == e.orig && local.reply == e.reply)) kill(it->second, now);
+        }
       }
     }
 
     if (auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
       // Same connection survives locally: take the active's view.
-      const std::uint32_t id = it->second;
-      Slot& slot = slots_[id];
-      slot.entry.nat = e.nat;
-      slot.entry.seen_reply = e.seen_reply;
-      slot.entry.closing = e.closing;
-      slot.entry.confirmed = true;
-      slot.entry.last_seen = now;
-      slot.entry.expires_at = now + e.remaining_ns;
-      lru_touch(id);
-      file_deadline(id, slot);
-      covered.emplace(id, true);
-      ++upserts;
-      continue;
+      overwrite(it->second, e, now);
+      covered.insert(it->second);
+    } else {
+      make_room(now);
+      covered.insert(insert(from_wire(e, now)));  // confirmed: streamed by the live active
     }
-    if (orig_map_.size() >= config_.max_connections && lru_tail_ != kNil) {
-      kill(lru_tail_, false, now);
-      ++stats_.evicted;
-    }
-    const std::uint32_t id = allocate_slot();
-    Slot& slot = slots_[id];
-    slot.entry = ConnEntry{};
-    slot.entry.orig = e.orig;
-    slot.entry.reply = e.reply;
-    slot.entry.nat = e.nat;
-    slot.entry.seen_reply = e.seen_reply;
-    slot.entry.closing = e.closing;
-    slot.entry.confirmed = true;  // streamed by the live active
-    slot.entry.last_seen = now;
-    slot.entry.expires_at = now + e.remaining_ns;
-    slot.live = true;
-    orig_map_.emplace(e.orig, id);
-    reply_map_.emplace(e.reply, id);
-    lru_push_front(id);
-    file_deadline(id, slot);
-    covered.emplace(id, true);
     ++upserts;
   }
 
@@ -674,14 +627,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   // demote it so it either re-confirms through traffic or ages out on
   // the transient timeout.
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
-    Slot& slot = slots_[id];
-    if (!slot.live || covered.contains(id)) continue;
-    slot.entry.confirmed = false;
-    const sim::SimNanos cap = now + timeout_for(slot.entry);
-    if (slot.entry.expires_at > cap) {
-      slot.entry.expires_at = cap;
-      file_deadline(id, slot);
-    }
+    if (slots_[id].live && !covered.contains(id)) demote(id, now);
   }
   dirty_ = true;
   return upserts;

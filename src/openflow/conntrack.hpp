@@ -24,6 +24,13 @@
 //   * Capacity is bounded per shard; commits into a full table evict
 //     the least-recently-seen connection (LRU).
 //
+// Every live connection sits in four structures at once: the orig map,
+// the reply map, the LRU list and the timer wheel. They agree on the
+// live slots because one private helper files a connection into all
+// four (insert) and one takes it out of all of them (kill — its wheel
+// references die with the slot's generation); every commit, restore,
+// replicated delta and resync goes through the pair.
+//
 // NAT lives here too: the first commit through a translating CtAction
 // records the mapping (SNAT allocates an external port, DNAT stores
 // the target), and every subsequent packet of the connection — either
@@ -326,7 +333,17 @@ class ConnTracker {
   [[nodiscard]] std::uint64_t classify_entry(const Slot& slot, bool reply_dir) const;
 
   std::uint32_t allocate_slot();
-  void kill(std::uint32_t id, bool expired, sim::SimNanos now);
+  /// File a new connection: a slot, both maps, the LRU head and the
+  /// wheel. The one way in; kill() is the one way out.
+  std::uint32_t insert(const ConnEntry& entry);
+  void kill(std::uint32_t id, sim::SimNanos now);
+  /// Take an authoritative peer's view of a mirrored connection (same
+  /// tuples): confirmed, re-armed, touched and re-filed.
+  void overwrite(std::uint32_t id, const CtSnapshotEntry& e, sim::SimNanos now);
+  /// Unconfirm and clamp to the transient timeout, re-filing if clamped.
+  void demote(std::uint32_t id, sim::SimNanos now);
+  /// At capacity, evict the least recently seen connection.
+  void make_room(sim::SimNanos now);
   void emit_delta(CtDelta::Kind kind, const ConnEntry& entry, sim::SimNanos now);
   void lru_touch(std::uint32_t id);
   void lru_unlink(std::uint32_t id);

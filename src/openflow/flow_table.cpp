@@ -7,11 +7,6 @@ namespace harmless::openflow {
 FlowTable::FlowTable(std::uint8_t table_id, bool specialized_matcher)
     : id_(table_id), matcher_(make_matcher(specialized_matcher)) {}
 
-void FlowTable::set_matcher(std::unique_ptr<Matcher> matcher) {
-  matcher_ = std::move(matcher);
-  mark_dirty();
-}
-
 void FlowTable::rebuild_if_needed() {
   if (!dirty_) return;
   std::vector<FlowEntry*> raw;

@@ -60,13 +60,10 @@ class FlowTable {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  [[nodiscard]] const char* matcher_name() const { return matcher_->name(); }
-  void set_matcher(std::unique_ptr<Matcher> matcher);
-
   /// Wire this table to the pipeline-wide flow-cache epoch: any
-  /// mutation (add/remove/expiry/matcher swap, and instruction
-  /// rewrites via modify) increments it so cached fast-path entries
-  /// self-invalidate. See openflow/flow_cache.hpp.
+  /// mutation (add/remove/expiry, and instruction rewrites via modify)
+  /// increments it so cached fast-path entries self-invalidate. See
+  /// openflow/flow_cache.hpp.
   void bind_epoch(std::uint64_t* epoch) { epoch_ = epoch; }
 
   /// The counter and idle-timestamp bookkeeping of one lookup outcome

@@ -92,15 +92,6 @@ std::size_t Pipeline::ct_expire(sim::SimNanos now) {
   return expired;
 }
 
-std::optional<sim::SimNanos> Pipeline::ct_next_deadline() const {
-  std::optional<sim::SimNanos> next;
-  for (const auto& tracker : trackers_) {
-    const std::optional<sim::SimNanos> deadline = tracker->next_deadline();
-    if (deadline && (!next || *deadline < *next)) next = deadline;
-  }
-  return next;
-}
-
 void Pipeline::ct_clear() {
   for (auto& tracker : trackers_) tracker->clear();
 }

@@ -64,8 +64,8 @@ void Host::maybe_respond(const net::ParsedPacket& parsed, const net::Packet& pac
   }
 
   // ICMP echo responder.
-  if (icmp_responder_ && parsed.icmp && parsed.icmp->type == net::IcmpType::kEchoRequest &&
-      parsed.ipv4 && parsed.ipv4->dst == ip_) {
+  if (parsed.icmp && parsed.icmp->type == net::IcmpType::kEchoRequest && parsed.ipv4 &&
+      parsed.ipv4->dst == ip_) {
     net::FlowKey reply;
     reply.eth_src = mac_;
     reply.eth_dst = parsed.eth_src;

@@ -42,9 +42,9 @@ class Host : public Node {
   /// completed, on this recorder.
   void set_recorder(LatencyRecorder* recorder) { recorder_ = recorder; }
 
-  /// Toggle built-in responders (all default-on).
+  /// Toggle the built-in ARP responder (default on; the ICMP echo
+  /// responder is always on).
   void set_arp_responder(bool on) { arp_responder_ = on; }
-  void set_icmp_responder(bool on) { icmp_responder_ = on; }
 
   /// NIC destination filtering: by default frames for other unicast
   /// MACs are dropped (counted in rx_filtered), like a real NIC with
@@ -98,7 +98,6 @@ class Host : public Node {
   net::MacAddr mac_;
   net::Ipv4Addr ip_;
   bool arp_responder_ = true;
-  bool icmp_responder_ = true;
   bool promiscuous_ = false;
   std::optional<std::uint16_t> http_port_;
   std::function<void(const net::Packet&, const net::ParsedPacket&)> on_receive_;

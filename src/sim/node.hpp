@@ -26,9 +26,9 @@
 // With `burst_size == 1` a core degrades to the classic single-server
 // queue: every burst holds one packet and sweeps no queue polls
 // (queues_polled() == 0) — the per-packet datapath, kept as the
-// batching ablation baseline. There is one entry point either way:
-// every burst goes to `service_burst(...)`, whose default serves
-// packets one by one through `service(...)`.
+// batching ablation baseline. There is one service hook either way:
+// every burst, a burst of one included, goes to the pure virtual
+// `service_burst(...)`; a per-packet node simply loops over its burst.
 // `SchedulerSpec::adaptive_burst` makes the budget track each core's
 // backlog between adaptive_min_burst and burst_size, so light load
 // takes the per-packet path (no idle poll sweep) and overload keeps
@@ -138,7 +138,6 @@ class ServicedNode : public Node {
   /// Maximum packets drained per core per service burst. 1 = per-packet
   /// service (the classic single-server queue: one-packet bursts with
   /// no poll sweep).
-  void set_burst_size(std::size_t burst_size) { burst_size_ = burst_size == 0 ? 1 : burst_size; }
   [[nodiscard]] std::size_t burst_size() const { return burst_size_; }
 
   /// Swap every core's burst scheduler (resets cursor/deficit state).
@@ -175,9 +174,6 @@ class ServicedNode : public Node {
   [[nodiscard]] std::size_t core_queue_count(std::size_t core) const {
     return cores_.at(core).queue_indices.size();
   }
-  [[nodiscard]] std::size_t core_backlog(std::size_t core) const {
-    return cores_.at(core).backlog;
-  }
 
   /// Total tail drops across all port queues (shared-bound and
   /// per-port-bound drops both count; each is also attributed to the
@@ -207,31 +203,19 @@ class ServicedNode : public Node {
   /// for silence too; the datapath charges rx_poll_ns each).
   [[nodiscard]] std::uint64_t rx_polls() const { return rx_polls_; }
 
-  /// Total simulated compute spent in service()/service_burst().
+  /// Total simulated compute spent in service_burst().
   [[nodiscard]] SimNanos busy_ns() const { return busy_ns_; }
   /// Service bursts drained (equals packets served when burst_size==1).
   [[nodiscard]] std::uint64_t bursts_served() const { return bursts_served_; }
 
  protected:
-  /// Process one packet: mutate/forward it via emit(...) and return
-  /// the compute cost in ns. Outputs emitted inside service() are
-  /// delayed by that same cost (they leave when processing ends).
-  /// Per-packet nodes override this and keep the default
-  /// service_burst(); a node that overrides service_burst() need not
-  /// (the default throws).
-  virtual SimNanos service(int in_port, net::Packet&& packet);
-
-  /// Process one burst and return its total compute cost — the one
-  /// entry point of the service loop, called for every burst, a burst
-  /// of one included. The default serves packets one by one through
-  /// service(), so nodes that never override it keep per-packet
-  /// semantics (costs sum; outputs still leave together when the burst
-  /// completes). SoftSwitch overrides this with its whole datapath.
-  virtual SimNanos service_burst(Burst&& burst) {
-    SimNanos cost = 0;
-    for (auto& [in_port, packet] : burst) cost += service(in_port, std::move(packet));
-    return cost;
-  }
+  /// Process one burst: mutate/forward its packets via emit(...) and
+  /// return the burst's total compute cost in ns — the one hook of the
+  /// service loop, called for every burst, a burst of one included.
+  /// Outputs emitted here leave together when the burst completes.
+  /// Per-packet nodes loop over the burst and sum their per-packet
+  /// costs; SoftSwitch serves it with its whole datapath.
+  virtual SimNanos service_burst(Burst&& burst) = 0;
 
   /// Emit a packet from `out_port` once the current service completes.
   /// Only valid while a burst is in service.
@@ -248,7 +232,7 @@ class ServicedNode : public Node {
 
   /// The worker core whose burst is currently in service — SoftSwitch
   /// keys its flow-cache shard (and per-core billing) off this. Only
-  /// meaningful inside service()/service_burst().
+  /// meaningful inside service_burst().
   [[nodiscard]] std::size_t current_core() const { return current_core_; }
 
   /// Pre-size the RX queue array for `port_count` ports (one queue per

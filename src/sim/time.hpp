@@ -35,17 +35,12 @@ class Rate {
     return Rate(megabits_per_second / 1000.0);
   }
 
-  [[nodiscard]] constexpr double bits_per_ns() const { return bits_per_ns_; }
-  [[nodiscard]] constexpr double gbps_value() const { return bits_per_ns_; }
-
   /// Time to clock `bytes` onto the wire. 0 only for infinite rate.
   [[nodiscard]] SimNanos serialization_ns(std::size_t bytes) const {
     if (bits_per_ns_ <= 0) return 0;
     const double ns = static_cast<double>(bytes) * 8.0 / bits_per_ns_;
     return static_cast<SimNanos>(std::ceil(ns));
   }
-
-  [[nodiscard]] constexpr bool is_infinite() const { return bits_per_ns_ <= 0; }
 
  private:
   constexpr explicit Rate(double bits_per_ns) : bits_per_ns_(bits_per_ns) {}

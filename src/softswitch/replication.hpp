@@ -96,10 +96,6 @@ class ReplicationChannel : public sim::FaultPoint {
   void set_up(bool up) { up_ = up; }
   [[nodiscard]] bool is_up() const { return up_; }
   void set_loss(double loss) { spec_.loss = loss; }
-  void set_lag(sim::SimNanos latency_ns, sim::SimNanos jitter_ns) {
-    spec_.latency_ns = latency_ns;
-    spec_.jitter_ns = jitter_ns;
-  }
 
   // sim::FaultPoint: partition and impairment via the injector.
   void fault_set_up(bool up) override { set_up(up); }
@@ -134,10 +130,13 @@ class ReplicationChannel : public sim::FaultPoint {
 
  private:
   void flush();
-  /// Departure-side gate shared by batches and heartbeats: false means
-  /// the message died (down / loss) and was accounted to `down`/`loss`.
-  bool depart(std::uint64_t& down, std::uint64_t& loss);
-  [[nodiscard]] sim::SimNanos arrival_delay();
+  /// The one send path every message kind takes: a message dies at
+  /// departure if the session is down or the loss draw takes it,
+  /// otherwise it arrives latency + a jitter draw later and is handed
+  /// to `deliver` unless the session went down in flight. Drops are
+  /// counted in `dropped_down` / `dropped_loss`.
+  template <typename Deliver>
+  void send(std::uint64_t& dropped_down, std::uint64_t& dropped_loss, Deliver deliver);
 
   sim::Engine& engine_;
   ReplicationSpec spec_;

@@ -404,9 +404,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// depth are cumulative — the per-port numbers the bench tables and
   /// the DRR isolation tests assert on. Under the symmetric RSS grid a
   /// port fronts one queue per core; these aggregate the whole group.
-  [[nodiscard]] std::size_t rx_queue_depth(std::uint32_t of_port) const {
-    return of_port >= 1 ? port_queue_depth(of_port - 1) : 0;
-  }
   [[nodiscard]] std::uint64_t rx_queue_drops(std::uint32_t of_port) const {
     return of_port >= 1 ? port_queue_drops(of_port - 1) : 0;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace harmless::util {
 
@@ -66,13 +65,6 @@ double Histogram::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return samples_[lo] + (samples_[hi] - samples_[lo]) * frac;
-}
-
-std::string Histogram::summary(const std::string& unit) const {
-  std::ostringstream os;
-  os << "n=" << total_count_ << " mean=" << mean() << unit << " p50=" << p50() << unit
-     << " p95=" << p95() << unit << " p99=" << p99() << unit << " max=" << max() << unit;
-  return os.str();
 }
 
 void Histogram::clear() {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace harmless::util {
@@ -33,9 +32,6 @@ class Histogram {
   [[nodiscard]] double p50() const { return quantile(0.50); }
   [[nodiscard]] double p95() const { return quantile(0.95); }
   [[nodiscard]] double p99() const { return quantile(0.99); }
-
-  /// "n=… mean=… p50=… p95=… p99=… max=…" one-liner for logs.
-  [[nodiscard]] std::string summary(const std::string& unit = "") const;
 
   void clear();
 

@@ -1,9 +1,12 @@
 // ConnTracker unit tests: the state machine, timeouts and expiry, LRU
 // capacity bounds, and NAT allocation (including the shard-affinity
-// property the symmetric-RSS datapath depends on).
+// property the symmetric-RSS datapath depends on), plus a seeded
+// digest pin over every path that files, updates or kills a connection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "net/l4.hpp"
@@ -581,6 +584,270 @@ TEST(CtSnapshot, WireBytesMatchesSerializedSize) {
   EXPECT_EQ(snap.wire_bytes(), snap.serialize().size());
   const CtSnapshot empty{};
   EXPECT_EQ(empty.wire_bytes(), empty.serialize().size());
+}
+
+// ---- filing-path pin ------------------------------------------------------
+
+/// FNV-1a over a stream of u64 observations.
+struct Digest {
+  std::uint64_t value = 14695981039346656037ULL;
+
+  void fold(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (v >> (byte * 8)) & 0xff;
+      value *= 0x100000001b3ULL;
+    }
+  }
+  void fold_tuple(const CtTuple& t) {
+    fold(t.src_ip);
+    fold(t.dst_ip);
+    fold(t.src_port);
+    fold(t.dst_port);
+    fold(t.proto);
+  }
+  void fold_nat(const CtNat& nat) {
+    fold(static_cast<std::uint64_t>(nat.kind));
+    fold(nat.ip);
+    fold(nat.port);
+  }
+  void fold_outcome(const CtOutcome& out) {
+    fold(out.state);
+    fold(out.committed);
+    fold(out.rewrite);
+    fold(out.translation.src);
+    fold(out.translation.dst);
+    fold(out.translation.src_ip);
+    fold(out.translation.dst_ip);
+    fold(out.translation.src_port);
+    fold(out.translation.dst_port);
+  }
+  void fold_delta(std::uint64_t source, const CtDelta& delta) {
+    fold(source);
+    fold(static_cast<std::uint64_t>(delta.kind));
+    fold_tuple(delta.entry.orig);
+    fold_tuple(delta.entry.reply);
+    fold_nat(delta.entry.nat);
+    fold(delta.entry.seen_reply);
+    fold(delta.entry.closing);
+    fold(static_cast<std::uint64_t>(delta.entry.remaining_ns));
+  }
+  void fold_stats(const CtStats& s) {
+    for (const std::uint64_t v :
+         {s.lookups, s.hits, s.created, s.refreshed, s.expired, s.evicted, s.invalid,
+          s.nat_allocated, s.nat_failures, s.checkpoints, s.restored, s.restore_dropped,
+          s.deltas_emitted, s.deltas_applied, s.fenced_rejects}) {
+      fold(v);
+    }
+  }
+};
+
+std::vector<ConnEntry> sorted_snapshot(const ConnTracker& ct) {
+  std::vector<ConnEntry> entries = ct.snapshot();
+  const auto key = [](const CtTuple& t) {
+    return std::tie(t.src_ip, t.dst_ip, t.src_port, t.dst_port, t.proto);
+  };
+  std::sort(entries.begin(), entries.end(),
+            [&](const ConnEntry& a, const ConnEntry& b) { return key(a.orig) < key(b.orig); });
+  return entries;
+}
+
+/// Everything observable about one shard: the sorted live table, the
+/// counters and the next wheel deadline.
+void fold_tracker(Digest& digest, const ConnTracker& ct) {
+  for (const ConnEntry& e : sorted_snapshot(ct)) {
+    digest.fold_tuple(e.orig);
+    digest.fold_tuple(e.reply);
+    digest.fold_nat(e.nat);
+    digest.fold(e.seen_reply);
+    digest.fold(e.closing);
+    digest.fold(e.confirmed);
+    digest.fold(static_cast<std::uint64_t>(e.last_seen));
+    digest.fold(static_cast<std::uint64_t>(e.expires_at));
+    digest.fold(e.packets_orig);
+    digest.fold(e.packets_reply);
+  }
+  digest.fold_stats(ct.stats());
+  const std::optional<sim::SimNanos> deadline = ct.next_deadline();
+  digest.fold(deadline.has_value());
+  digest.fold(static_cast<std::uint64_t>(deadline.value_or(0)));
+}
+
+// A seeded mix of every operation that files, updates, demotes or
+// kills a connection, on three small shards: an active whose delta
+// stream reaches a standby with lag and loss, a standby that also runs
+// its own traffic (so deltas and resyncs meet colliding local state),
+// and a spare that takes the active's checkpoints through restore().
+// Capacities are small so LRU eviction runs constantly. Any change to
+// which connection is filed, touched, evicted, demoted or expired — or
+// when — moves the digest.
+TEST(ConnTracker, FilingPathsPinnedDigest) {
+  CtConfig config;
+  config.max_connections = 12;
+  config.tcp_established_timeout = 40'000;
+  config.tcp_transient_timeout = 6'000;
+  config.udp_timeout = 12'000;
+  config.sweep_interval = 1'000;
+  CtConfig small = config;
+  small.max_connections = 8;
+
+  ConnTracker active(config, 1);
+  ConnTracker standby(small, 1);
+  ConnTracker spare(small, 1);
+
+  Digest digest;
+  std::vector<CtDelta> in_flight;  // active -> standby, applied with lag
+  active.set_delta_sink([&](const CtDelta& d) {
+    digest.fold_delta(0, d);
+    in_flight.push_back(d);
+  });
+  standby.set_delta_sink([&](const CtDelta& d) { digest.fold_delta(1, d); });
+  spare.set_delta_sink([&](const CtDelta& d) { digest.fold_delta(2, d); });
+
+  util::Rng rng(0xf111'6a7e);
+  const CtAction snat{CtAction::Nat::kSource, 0xc6336401, 50000, 50007};
+  const CtAction dnat{CtAction::Nat::kDest, 0x0a0000fe, 8080, 0};
+  const CtAction actions[] = {kCommit, snat, dnat};
+
+  const auto random_tuple = [&] {
+    const std::uint8_t proto = rng.chance(0.25) ? kUdp : kTcp;
+    return tuple(0x0a000001 + static_cast<std::uint32_t>(rng.below(4)),
+                 static_cast<std::uint16_t>(1000 + rng.below(4)),
+                 0xc633640a + static_cast<std::uint32_t>(rng.below(2)),
+                 rng.chance(0.5) ? 80 : 443, proto);
+  };
+  const auto random_flags = [&]() -> std::uint8_t {
+    switch (rng.below(8)) {
+      case 4: return net::kTcpAck;
+      case 5: return net::kTcpFin | net::kTcpAck;
+      case 6: return net::kTcpRst;
+      case 7: return net::kTcpSyn | net::kTcpAck;
+      default: return net::kTcpSyn;
+    }
+  };
+  // Either direction of a live connection, or a fresh tuple if none.
+  const auto live_tuple = [&](const ConnTracker& ct, bool reply_dir) {
+    const std::vector<ConnEntry> entries = sorted_snapshot(ct);
+    if (entries.empty()) return random_tuple();
+    const ConnEntry& e = entries[rng.below(entries.size())];
+    return reply_dir ? e.reply : e.orig;
+  };
+  const auto pick_action = [&] { return actions[rng.below(3)]; };
+
+  // Coverage of the paths the digest is meant to pin.
+  std::size_t reply_mismatches = 0;
+  std::size_t resync_collisions = 0;
+  std::size_t resync_uncovered = 0;
+  std::size_t demoted = 0;
+  std::size_t swept = 0;
+  std::size_t lazy_expired = 0;
+
+  sim::SimNanos now = 0;
+  int fenced_until = -1;
+  for (int step = 0; step < 4000; ++step) {
+    if (step == fenced_until) active.set_fenced(false);
+    now += static_cast<sim::SimNanos>(rng.below(400));
+    const std::uint64_t op = rng.below(100);
+    if (op < 28) {
+      const CtTuple t = random_tuple();
+      const std::uint8_t flags = random_flags();
+      const CtAction action = pick_action();
+      const std::uint64_t expired_before = active.stats().expired;
+      digest.fold_outcome(active.process(t, flags, now, action));
+      lazy_expired += active.stats().expired - expired_before;
+    } else if (op < 44) {
+      const bool reply_dir = rng.chance(0.7);
+      const CtTuple t = live_tuple(active, reply_dir);
+      const std::uint8_t flags =
+          rng.chance(0.8) ? static_cast<std::uint8_t>(net::kTcpAck) : random_flags();
+      digest.fold_outcome(active.process(t, flags, now, kCommit));
+    } else if (op < 52) {
+      const CtTuple t = rng.chance(0.5) ? random_tuple() : live_tuple(standby, rng.chance(0.5));
+      const std::uint8_t flags = random_flags();
+      digest.fold_outcome(standby.process(t, flags, now, pick_action()));
+    } else if (op < 57) {
+      const CtTuple t = random_tuple();
+      const std::uint8_t flags = random_flags();
+      digest.fold_outcome(spare.process(t, flags, now, pick_action()));
+    } else if (op < 65) {
+      ConnTracker& ct = rng.chance(0.5) ? active : standby;
+      const CtTuple t = rng.chance(0.5) ? random_tuple() : live_tuple(ct, rng.chance(0.5));
+      digest.fold(ct.classify(t, random_flags(), now));
+    } else if (op < 73) {
+      std::vector<CtDelta> batch;
+      batch.swap(in_flight);
+      for (const CtDelta& d : batch) {
+        if (rng.chance(0.1)) continue;  // lost on the wire
+        for (const ConnEntry& e : standby.snapshot()) {
+          if (e.orig == d.entry.orig && !(e.reply == d.entry.reply)) ++reply_mismatches;
+        }
+        standby.apply_delta(d, now);
+      }
+    } else if (op < 77) {
+      for (ConnTracker* ct : {&active, &standby, &spare}) {
+        const std::size_t n = ct->expire(now);
+        swept += n;
+        digest.fold(n);
+      }
+    } else if (op < 79) {
+      if (!active.fenced()) {
+        active.set_fenced(true);
+        fenced_until = step + 1 + static_cast<int>(rng.below(12));
+      }
+    } else if (op < 81) {
+      const CtRestoreResult r = spare.restore(active.checkpoint(now), now);
+      digest.fold(r.restored);
+      digest.fold(r.dropped);
+    } else if (op < 83) {
+      const CtSnapshot image = active.checkpoint(now);
+      for (const ConnEntry& local : standby.snapshot()) {
+        bool covered = false;
+        for (const CtSnapshotEntry& e : image.entries) {
+          const bool same = local.orig == e.orig && local.reply == e.reply;
+          covered = covered || same;
+          if (!same && (local.orig == e.orig || local.orig == e.reply || local.reply == e.orig ||
+                        local.reply == e.reply)) {
+            ++resync_collisions;
+          }
+        }
+        if (!covered) ++resync_uncovered;
+      }
+      digest.fold(standby.resync(image, now));
+    } else if (op < 85) {
+      const std::size_t n = standby.demote_all(now);
+      demoted += n;
+      digest.fold(n);
+    } else if (op < 86) {
+      spare.clear();
+    } else {
+      now += static_cast<sim::SimNanos>(rng.below(3'000));
+    }
+    if (step % 100 == 99) {
+      for (const ConnTracker* ct : {&active, &standby, &spare}) fold_tracker(digest, *ct);
+    }
+  }
+  for (const ConnTracker* ct : {&active, &standby, &spare}) fold_tracker(digest, *ct);
+
+  // The mix reaches every filing path.
+  for (const ConnTracker* ct : {&active, &standby, &spare}) {
+    EXPECT_GT(ct->stats().created, 0u);
+    EXPECT_GT(ct->stats().evicted, 0u);
+    EXPECT_GT(ct->stats().expired, 0u);
+  }
+  EXPECT_GT(active.stats().nat_allocated, 0u);
+  EXPECT_GT(active.stats().nat_failures, 0u);
+  EXPECT_GT(active.stats().fenced_rejects, 0u);
+  EXPECT_GT(active.stats().invalid, 0u);
+  EXPECT_GT(spare.stats().restored, 0u);
+  EXPECT_GT(spare.stats().restore_dropped, 0u);
+  EXPECT_GT(standby.stats().deltas_applied, 0u);
+  EXPECT_GT(reply_mismatches, 0u);
+  EXPECT_GT(resync_collisions, 0u);
+  EXPECT_GT(resync_uncovered, 0u);
+  EXPECT_GT(demoted, 0u);
+  EXPECT_GT(swept, 0u);
+  EXPECT_GT(lazy_expired, 0u);
+
+  EXPECT_EQ(digest.value, 0x4ee1b60eb0a80fc0ULL) << std::hex << "observed 0x" << digest.value;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "controller/apps/static_flows.hpp"
@@ -21,6 +22,7 @@
 #include "sim/witness.hpp"
 #include "softswitch/replication.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -605,6 +607,97 @@ TEST(ReplicationChannelFailable, BatchesCoalesceWithinInterval) {
   EXPECT_EQ(repl.stats().batches_sent, 1u);
   ASSERT_EQ(arrivals.size(), 4u);
   for (const sim::SimNanos at : arrivals) EXPECT_EQ(at, 110'000);
+}
+
+// A lossy, jittery channel carrying all four message kinds through a
+// partition. Every message draws loss first and then, if it survives,
+// jitter from the channel's seeded Rng, so a seeded run replays
+// exactly: which messages arrive, when, and every Stats field are
+// pinned here.
+TEST(ReplicationChannelFailable, SeededLossAndJitterStreamPinned) {
+  sim::Engine engine;
+  softswitch::ReplicationSpec spec;
+  spec.latency_ns = 10'000;
+  spec.batch_interval_ns = 20'000;
+  spec.loss = 0.3;
+  spec.jitter_ns = 7'000;
+  spec.seed = 0x9e1a7;
+  softswitch::ReplicationChannel repl(engine, spec);
+
+  std::uint64_t digest = 14695981039346656037ULL;  // FNV-1a over arrivals
+  const auto fold = [&](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (v >> (byte * 8)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  const auto arrived = [&](std::uint64_t kind) {
+    fold(kind);
+    fold(static_cast<std::uint64_t>(engine.now()));
+  };
+  repl.set_delta_handler([&](const softswitch::ReplicationRecord& record) {
+    arrived(1);
+    fold(record.shard);
+    fold(record.delta.entry.orig.src_port);
+  });
+  repl.set_heartbeat_handler([&](std::uint64_t epoch) {
+    arrived(2);
+    fold(epoch);
+  });
+  repl.set_snapshot_handler(
+      [&](std::size_t shard, const openflow::CtSnapshot& snapshot, std::uint64_t epoch) {
+        arrived(3);
+        fold(shard);
+        fold(static_cast<std::uint64_t>(snapshot.taken_at));
+        fold(snapshot.entries.size());
+        fold(epoch);
+      });
+  repl.set_sync_request_handler([&] { arrived(4); });
+
+  util::Rng script(0x5c1207);
+  sim::SimNanos at = 0;
+  for (std::uint16_t i = 0; i < 400; ++i) {
+    at += static_cast<sim::SimNanos>(script.below(6'000));
+    const std::uint64_t kind = script.below(10);
+    engine.schedule_at(at, [&, i, kind] {
+      if (kind < 6) {
+        openflow::CtDelta delta;
+        delta.entry.orig.src_port = i;
+        repl.publish(i % 2, delta);
+      } else if (kind < 8) {
+        repl.publish_heartbeat(i);
+      } else if (kind == 8) {
+        openflow::CtSnapshot snapshot;
+        snapshot.taken_at = engine.now();
+        snapshot.entries.resize(i % 3 + 1);
+        repl.publish_snapshot(i % 2, std::move(snapshot), i);
+      } else {
+        repl.publish_sync_request();
+      }
+    });
+  }
+  // A partition mid-run: messages die at departure and in flight.
+  engine.schedule_at(500'000, [&] { repl.set_up(false); });
+  engine.schedule_at(620'000, [&] { repl.set_up(true); });
+  engine.run();
+
+  const auto& s = repl.stats();
+  EXPECT_EQ(s.deltas_published, 240u);
+  EXPECT_EQ(s.deltas_delivered, 164u);
+  EXPECT_EQ(s.batches_sent, 52u);
+  EXPECT_EQ(s.batches_delivered, 36u);
+  EXPECT_EQ(s.batches_dropped_down, 12u);
+  EXPECT_EQ(s.batches_dropped_loss, 29u);
+  EXPECT_EQ(s.heartbeats_sent, 96u);
+  EXPECT_EQ(s.heartbeats_delivered, 60u);
+  EXPECT_EQ(s.heartbeats_dropped_down, 12u);
+  EXPECT_EQ(s.heartbeats_dropped_loss, 24u);
+  EXPECT_EQ(s.sync_requests_sent, 30u);
+  EXPECT_EQ(s.sync_requests_delivered, 19u);
+  EXPECT_EQ(s.snapshots_sent, 34u);
+  EXPECT_EQ(s.snapshots_delivered, 20u);
+  EXPECT_EQ(s.snapshot_bytes, 2418u);
+  EXPECT_EQ(digest, 0xa855a51a4afc6c95ULL) << std::hex << "observed 0x" << digest;
 }
 
 // ---- split-brain-safe HA: witness leases, fencing, failback (PR 10) ----
