@@ -54,9 +54,9 @@ Outcome run_merged(const RigOptions& options) {
   rig.add_hosts(device, options);
 
   auto& merged = rig.network.add_node<softswitch::SoftSwitch>(
-      "merged-ss", 0x99, 1, /*table_count=*/1, options.specialized_matchers);
+      "merged-ss", 0x99, 1, /*table_count=*/1, options.fabric.specialized_matchers);
   rig.network.connect(device, static_cast<std::size_t>(options.host_count), merged, 0,
-                      options.trunk_link);
+                      options.fabric.trunk_link);
 
   // Fused rules: for every (source port, destination host) pair.
   // The "controller program" must know every VLAN id — the coupling
@@ -110,15 +110,15 @@ int main() {
     RigOptions options;
     options.host_count = hosts;
     options.access_link = sim::LinkSpec::gbps(10);
-    options.trunk_link = sim::LinkSpec::gbps(10);
+    options.fabric.trunk_link = sim::LinkSpec::gbps(10);
 
     const Outcome harmless_outcome = run_harmless(options);
     const Outcome merged_outcome = run_merged(options);
     RigOptions linear_options = options;
-    linear_options.specialized_matchers = false;
+    linear_options.fabric.specialized_matchers = false;
     const Outcome linear_outcome = run_harmless(linear_options);
     RigOptions uncached_options = options;
-    uncached_options.flow_cache = false;
+    uncached_options.fabric.flow_cache = false;
     const Outcome uncached_outcome = run_harmless(uncached_options);
     table.add_row({std::to_string(hosts), "HARMLESS (SS_1+SS_2)",
                    util::si_format(harmless_outcome.pps, "pps"),

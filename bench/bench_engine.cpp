@@ -148,11 +148,11 @@ EngineRun table7_overload(std::size_t cores, int ports, std::size_t packets_per_
   RigOptions options;
   options.host_count = ports;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.burst_size = 32;
-  options.cores.cores = cores;
-  options.cores.rss = sim::RssPolicy::kStride;
-  options.port_queue_capacity = 256;
-  options.queue_capacity = static_cast<std::size_t>(ports) * 256;
+  options.fabric.burst_size = 32;
+  options.fabric.ingress.cores.cores = cores;
+  options.fabric.ingress.cores.rss = sim::RssPolicy::kStride;
+  options.fabric.ingress.port_queue_capacity = 256;
+  options.fabric.ingress.queue_capacity = static_cast<std::size_t>(ports) * 256;
   NativeRig rig(options);
   softswitch::DatapathCosts costs;
   costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps per core: the ports overload it

@@ -48,7 +48,7 @@ int main() {
 
   RigOptions options;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.trunk_link = sim::LinkSpec::gbps(10);
+  options.fabric.trunk_link = sim::LinkSpec::gbps(10);
 
   util::Table table({"frame", "setup", "p50 (us)", "p95 (us)", "p99 (us)", "proc (ns)",
                      "hops", "delta vs legacy (us)"});

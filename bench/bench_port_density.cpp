@@ -44,9 +44,9 @@ DensityPoint run_density(int host_count, double trunk_gbps, int trunk_count = 1)
   options.host_count = host_count;
   options.trunk_count = trunk_count;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.trunk_link = sim::LinkSpec::gbps(trunk_gbps);
+  options.fabric.trunk_link = sim::LinkSpec::gbps(trunk_gbps);
   // Deep trunk queue so the knee shows as latency+loss, not instant tail drop.
-  options.trunk_link.queue_capacity_packets = 512;
+  options.fabric.trunk_link.queue_capacity_packets = 512;
   HarmlessRig rig(options);
 
   sim::LatencyRecorder recorder;

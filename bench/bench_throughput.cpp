@@ -282,9 +282,9 @@ HolRun hol_run(sim::SchedulerSpec scheduler, std::size_t port_queue_capacity) {
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 32;
-  options.scheduler = scheduler;
-  options.port_queue_capacity = port_queue_capacity;
+  options.fabric.burst_size = 32;
+  options.fabric.ingress.scheduler = scheduler;
+  options.fabric.ingress.port_queue_capacity = port_queue_capacity;
   NativeRig rig(options);
   softswitch::DatapathCosts costs;
   costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps core: the elephant overloads it
@@ -445,9 +445,9 @@ CoreScaleRun core_scaling_run(std::size_t cores, int ports, bool skewed,
   RigOptions options;
   options.host_count = ports;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.burst_size = 32;
-  options.cores.cores = cores;
-  options.cores.rss = policy;
+  options.fabric.burst_size = 32;
+  options.fabric.ingress.cores.cores = cores;
+  options.fabric.ingress.cores.rss = policy;
   // Partitioned ingress buffers (the PR-3 isolation knob), with the
   // shared bound lifted out of the way: under a shared buffer, a
   // heavily-steered core's ports monopolize admission and starve the
@@ -455,8 +455,8 @@ CoreScaleRun core_scaling_run(std::size_t cores, int ports, bool skewed,
   // imbalance shows up where it belongs: as idle makespan on
   // under-steered cores (and empty cores at high core counts, the real
   // port-hash failure mode).
-  options.port_queue_capacity = 256;
-  options.queue_capacity = static_cast<std::size_t>(ports) * 256;
+  options.fabric.ingress.port_queue_capacity = 256;
+  options.fabric.ingress.queue_capacity = static_cast<std::size_t>(ports) * 256;
   NativeRig rig(options);
   softswitch::DatapathCosts costs;
   costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps per core: the ports overload it
@@ -536,7 +536,7 @@ int main(int argc, char** argv) {
   {
     RigOptions options;
     options.access_link = sim::LinkSpec::gbps(10);
-    options.trunk_link = sim::LinkSpec::gbps(10);
+    options.fabric.trunk_link = sim::LinkSpec::gbps(10);
     std::cout << "Table 1 - no-drop rate on a 10G feed (<0.5% loss, binary search):\n";
     util::Table table({"frame", "legacy (pps)", "native SS (pps)", "HARMLESS (pps)",
                        "HARMLESS (Gb/s)", "vs legacy", "vs native"});
@@ -563,7 +563,7 @@ int main(int argc, char** argv) {
   {
     RigOptions options;
     options.access_link = sim::LinkSpec::gbps(1);
-    options.trunk_link = sim::LinkSpec::gbps(10);
+    options.fabric.trunk_link = sim::LinkSpec::gbps(10);
     std::cout << "Table 2 - goodput at the 1G access line rate (deployment envelope):\n";
     util::Table table({"frame", "legacy (pps)", "native SS (pps)", "HARMLESS (pps)",
                        "HARMLESS (Gb/s)", "vs legacy", "vs native"});

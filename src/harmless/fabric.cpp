@@ -12,9 +12,9 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
   fabric.ss1_ = &network.add_node<softswitch::SoftSwitch>(
       "SS_1", spec.ss1_datapath_id, fabric.map_.ss1_port_count(), /*table_count=*/1,
       spec.specialized_matchers, spec.flow_cache, spec.burst_size, spec.ingress);
-  // SS_2: one OF port per managed access port.
+  // SS_2: one OF port per managed access port, two tables.
   fabric.ss2_ = &network.add_node<softswitch::SoftSwitch>(
-      "SS_2", spec.ss2_datapath_id, fabric.map_.size(), spec.ss2_tables,
+      "SS_2", spec.ss2_datapath_id, fabric.map_.size(), /*table_count=*/2,
       spec.specialized_matchers, spec.flow_cache, spec.burst_size, spec.ingress);
   // Every cache shard (one per worker core) follows the ablation knob.
   fabric.ss1_->pipeline().set_linear_scan(spec.cache_linear_scan);
@@ -42,11 +42,9 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
 
   // SS_2's controller channel (connected to a Controller by the caller
   // or the Manager).
-  fabric.channel_ = std::make_unique<openflow::ControlChannel>(
-      network.engine(), spec.control_latency, spec.control_seed);
+  fabric.channel_ =
+      std::make_unique<openflow::ControlChannel>(network.engine(), spec.control_latency);
   fabric.channel_->set_min_gap(spec.control_min_gap);
-  if (spec.control_impairment.active())
-    fabric.channel_->set_impairment(spec.control_impairment, spec.control_impairment);
   fabric.ss2_->attach_channel(*fabric.channel_);
   if (spec.ss2_failover.enabled()) fabric.ss2_->set_failover(spec.ss2_failover);
   return fabric;

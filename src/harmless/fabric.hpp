@@ -35,8 +35,7 @@ struct FabricSpec {
   /// Trunk interconnect: typically faster than access links (the paper
   /// uses a 10G trunk-port-to-soft-switch cable for 1G access ports).
   sim::LinkSpec trunk_link = sim::LinkSpec::gbps(10);
-  /// SS_2 pipeline shape.
-  std::size_t ss2_tables = 2;
+  /// Specialized (per-shape) flow-table matchers on both soft switches.
   bool specialized_matchers = true;
   /// Two-tier flow cache on both soft switches (ablation knob).
   bool flow_cache = true;
@@ -57,15 +56,10 @@ struct FabricSpec {
   /// Control channel one-way latency (controller is usually on-box or
   /// one rack away).
   sim::SimNanos control_latency = 50'000;
-  /// Control-channel seed (loss/jitter draws when impaired) and
-  /// per-message serialization gap (0 = instantaneous pipe; set to
-  /// model resync time scaling with flow count).
-  std::uint64_t control_seed = 0xc0a7'0150'0fULL;
+  /// Control-channel per-message serialization gap (0 = instantaneous
+  /// pipe; set to model resync time scaling with flow count). The
+  /// channel starts pristine; fault plans impair it at run time.
   sim::SimNanos control_min_gap = 0;
-  /// Control-channel impairment applied at build (both directions);
-  /// default pristine. Fault plans can impair it later via the
-  /// injector regardless.
-  openflow::ChannelImpairment control_impairment;
   /// SS_2 controller-loss behaviour (disabled by default: no probes,
   /// PR-6-identical). SS_1 never gets one — it has no controller.
   softswitch::FailoverSpec ss2_failover;

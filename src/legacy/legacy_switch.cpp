@@ -103,15 +103,10 @@ sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   }
   const net::VlanId vlan = classified->vlan;
 
-  // Learning (unicast sources only).
+  // Learn the source; is the destination a known unicast station?
   cost += costs_.lookup_ns;
-  if (!parsed.eth_src.is_multicast() && !parsed.eth_src.is_zero())
-    mac_table_.learn(vlan, parsed.eth_src, port_number, engine_.now());
-
-  // Known unicast?
-  std::optional<int> out;
-  if (!parsed.eth_dst.is_multicast())
-    out = mac_table_.lookup(vlan, parsed.eth_dst, engine_.now());
+  const std::optional<int> out =
+      mac_table_.bridge(vlan, parsed.eth_src, parsed.eth_dst, port_number, engine_.now());
 
   packet.charge(cost);
 

@@ -22,6 +22,13 @@ std::optional<int> MacTable::lookup(net::VlanId vlan, net::MacAddr mac,
   return it->second.port;
 }
 
+std::optional<int> MacTable::bridge(net::VlanId vlan, net::MacAddr src, net::MacAddr dst,
+                                   int in_port, sim::SimNanos now) {
+  if (!src.is_multicast() && !src.is_zero()) learn(vlan, src, in_port, now);
+  if (dst.is_multicast()) return std::nullopt;
+  return lookup(vlan, dst, now);
+}
+
 std::size_t MacTable::flush_port(int port) {
   std::size_t flushed = 0;
   for (auto it = table_.begin(); it != table_.end();) {

@@ -31,6 +31,13 @@ class MacTable {
   [[nodiscard]] std::optional<int> lookup(net::VlanId vlan, net::MacAddr mac,
                                           sim::SimNanos now) const;
 
+  /// One 802.1D bridging step for a frame `src` -> `dst` arriving on
+  /// `in_port`: learn the source (unicast, non-zero only), then return
+  /// the port the destination was learned on (unicast only). nullopt
+  /// means flood; `in_port` itself means filter.
+  std::optional<int> bridge(net::VlanId vlan, net::MacAddr src, net::MacAddr dst, int in_port,
+                            sim::SimNanos now);
+
   /// Drop all entries pointing at `port` (link-down handling); returns
   /// how many were flushed.
   std::size_t flush_port(int port);

@@ -70,6 +70,8 @@ void Pipeline::set_shard_count(std::size_t shards) {
 }
 
 void Pipeline::enable_conntrack(const CtConfig& config) {
+  if (config.sweep_interval <= 0)
+    throw util::ConfigError("conntrack sweep_interval must be positive");
   ct_config_ = config;
   ct_enabled_ = true;
   trackers_.clear();
@@ -350,14 +352,14 @@ void Pipeline::install_learned(MegaflowEntry entry, const FieldView& original_vi
 }
 
 PipelineResult Pipeline::run(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
-                             std::size_t shard) {
+                             std::size_t shard, const MegaflowEntry** replayed) {
   // Conntrack prelude, *before* any cache probe: the classification is
   // part of the packet's identity from here on, so both cache tiers
   // key on it and stale state decisions are structurally impossible.
   FieldView view = cached_field_view(packet, in_port);
   const bool classified = ct_annotate(view, shard, now);
   PipelineResult result =
-      run_with_view(std::move(packet), in_port, now, std::move(view), shard);
+      run_with_view(std::move(packet), in_port, now, std::move(view), shard, replayed);
   if (classified) ++result.ct_lookups;
   return result;
 }
@@ -598,13 +600,8 @@ void Pipeline::run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNan
   // survives as the count of distinct megaflow entries replayed.
   burst_replayed_.clear();
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    FieldView view;
-    cached_field_view_into(burst[i].packet, burst[i].in_port, &view);
-    const bool classified = ct_annotate(view, shard, now);
     const MegaflowEntry* replayed = nullptr;
-    out.results[i] = run_with_view(std::move(burst[i].packet), burst[i].in_port, now,
-                                   std::move(view), shard, &replayed);
-    if (classified) ++out.results[i].ct_lookups;
+    out.results[i] = run(std::move(burst[i].packet), burst[i].in_port, now, shard, &replayed);
     if (replayed != nullptr &&
         std::find(burst_replayed_.begin(), burst_replayed_.end(), replayed) ==
             burst_replayed_.end())

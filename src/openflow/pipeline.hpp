@@ -195,7 +195,9 @@ class Pipeline {
   /// step). From here on, every IPv4 TCP/UDP packet is classified
   /// read-only before any cache probe and carries Field::kCtState, so
   /// ct_state rules can match and both cache tiers key on the state.
-  /// Call before traffic, like set_shard_count.
+  /// Call before traffic, like set_shard_count. Throws
+  /// util::ConfigError unless config.sweep_interval > 0 (the expiry
+  /// sweep re-arms at that cadence).
   void enable_conntrack(const CtConfig& config);
   [[nodiscard]] bool conntrack_enabled() const { return ct_enabled_; }
   /// Core `shard`'s conntrack shard (enable_conntrack first).
@@ -214,9 +216,11 @@ class Pipeline {
   /// fast path on a cache-shard hit, otherwise the full traversal
   /// (which learns a megaflow into the same shard when caching is on).
   /// `shard` is the calling worker core's cache shard; the single-core
-  /// datapath uses shard 0.
+  /// datapath uses shard 0. `replayed` (optional) reports the megaflow
+  /// entry a cache hit replayed, for the caller's replay-group
+  /// accounting.
   PipelineResult run(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
-                     std::size_t shard = 0);
+                     std::size_t shard = 0, const MegaflowEntry** replayed = nullptr);
 
   /// Run one burst, OVS/DPDK style; consumes it. Phase 1 probes the
   /// flow cache for every packet; phase 2 groups the hits by megaflow
@@ -266,13 +270,11 @@ class Pipeline {
                                 int depth, bool consume = false);
 
   /// run() body once the packet's FieldView is built and, when
-  /// conntrack is on, classified — the callers run the prelude, so
+  /// conntrack is on, classified — run() runs the prelude, so
   /// classification (a stats-bearing tracker lookup) happens exactly
   /// once per packet. run_burst residue packets enter here with their
   /// phase-1 view, so a burst parses each packet exactly once. `shard`
-  /// is the serving core's cache shard (lookup and learning both land
-  /// there). `replayed` (optional) reports the megaflow entry a cache
-  /// hit replayed, for the caller's replay-group accounting.
+  /// and `replayed` as in run().
   PipelineResult run_with_view(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
                                FieldView view, std::size_t shard,
                                const MegaflowEntry** replayed = nullptr);

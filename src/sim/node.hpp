@@ -140,17 +140,7 @@ class ServicedNode : public Node {
   /// no poll sweep).
   [[nodiscard]] std::size_t burst_size() const { return burst_size_; }
 
-  /// Swap every core's burst scheduler (resets cursor/deficit state).
-  void set_scheduler(const SchedulerSpec& spec) {
-    ingress_.scheduler = spec;
-    for (Core& core : cores_) core.scheduler = make_scheduler(spec);
-  }
-  /// Swap core 0's scheduler object directly (single-core test hook).
-  void set_scheduler(std::unique_ptr<BurstScheduler> scheduler) {
-    if (scheduler != nullptr) cores_.front().scheduler = std::move(scheduler);
-  }
   [[nodiscard]] const BurstScheduler& scheduler() const { return *cores_.front().scheduler; }
-  [[nodiscard]] const IngressSpec& ingress() const { return ingress_; }
 
   /// Worker-core layout (fixed at construction via IngressSpec::cores).
   [[nodiscard]] std::size_t core_count() const { return cores_.size(); }

@@ -113,8 +113,9 @@ using Burst = std::vector<std::pair<int, net::Packet>>;
 enum class SchedulerKind : std::uint8_t { kFcfs, kRoundRobin, kDrr };
 [[nodiscard]] const char* to_string(SchedulerKind kind);
 
-/// Value-type selection of a scheduler, carried by FabricSpec /
-/// RigOptions and turned into a live object with make_scheduler().
+/// Value-type selection of a scheduler, carried by IngressSpec (so by
+/// FabricSpec::ingress and RigOptions::fabric.ingress) and turned into
+/// a live object with make_scheduler().
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kFcfs;
   /// RoundRobin: packets granted per queue visit.

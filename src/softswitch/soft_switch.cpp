@@ -113,19 +113,17 @@ void SoftSwitch::attach_channel(openflow::ControlChannel& channel) {
   channel_ = &channel;
   channel.set_switch_handler(
       [this](Message&& message) { handle_controller_message(std::move(message)); });
-  arm_liveness();
+  schedule_echo();
 }
 
 void SoftSwitch::set_failover(const FailoverSpec& spec) {
+  // A zero backoff re-sends the reconnect Hello at the same instant
+  // forever, freezing simulated time.
+  if (spec.enabled() && (spec.backoff_initial_ns <= 0 || spec.backoff_cap_ns <= 0))
+    throw util::ConfigError(name() + ": failover backoff must be positive");
   failover_ = spec;
   failover_rng_.reseed(spec.seed);
   backoff_ns_ = spec.backoff_initial_ns;
-  arm_liveness();
-}
-
-void SoftSwitch::arm_liveness() {
-  if (liveness_armed_ || !failover_.enabled() || channel_ == nullptr) return;
-  liveness_armed_ = true;
   schedule_echo();
 }
 
@@ -133,19 +131,17 @@ void SoftSwitch::schedule_echo() {
   // Perpetual by design (liveness has no natural end); callers drive
   // the engine with run_until. The timer keeps ticking through
   // disconnects and reboots so detection re-arms itself after healing.
-  engine_.schedule_after(failover_.echo_interval_ns, [this] {
+  if (!failover_.enabled() || channel_ == nullptr) return;
+  arm(liveness_armed_, failover_.echo_interval_ns, [this] {
     if (connected_ && !restarting_) {
-      if (echo_outstanding_ > 0) {
-        ++failover_stats_.echo_misses;
-        if (echo_outstanding_ >= failover_.echo_miss_threshold) {
-          on_control_lost();
-          schedule_echo();
-          return;
-        }
+      if (echo_outstanding_ > 0) ++failover_stats_.echo_misses;
+      if (echo_outstanding_ > 0 && echo_outstanding_ >= failover_.echo_miss_threshold) {
+        on_control_lost();
+      } else {
+        ++failover_stats_.echo_sent;
+        ++echo_outstanding_;
+        channel_->send_to_controller(EchoRequestMsg{echo_seq_++});
       }
-      ++failover_stats_.echo_sent;
-      ++echo_outstanding_;
-      channel_->send_to_controller(EchoRequestMsg{echo_seq_++});
     }
     schedule_echo();
   });
@@ -191,10 +187,7 @@ void SoftSwitch::on_control_reconnected() {
   // The controller's world may have moved while we were deaf: every
   // cached action program is suspect, and standalone-learned stations
   // must not shadow the re-installed flow rules.
-  if (pipeline_.cache_enabled()) {
-    pipeline_.cache().invalidate_all();
-    observe_cache_epoch();
-  }
+  invalidate_cache();
   standalone_macs_.clear();
 }
 
@@ -218,19 +211,32 @@ void SoftSwitch::complete_resync() {
   }
 }
 
-bool SoftSwitch::admit_packet_in() {
+void SoftSwitch::punt(PacketInEvent&& event) {
+  if (channel_ == nullptr) return;
   if (failover_.enabled() && !connected_) {
     ++failover_stats_.packet_ins_dropped;  // fail-secure suppression
-    return false;
+    return;
   }
   if (engine_.now() < warmup_until_) {
     if (warmup_budget_ == 0) {
       ++failover_stats_.warmup_packet_ins_dropped;
-      return false;
+      return;
     }
     --warmup_budget_;
   }
-  return true;
+  ++counters_.packet_ins;
+  PacketInMsg message;
+  message.in_port = event.in_port;
+  message.table_id = event.table_id;
+  message.reason = event.reason;
+  message.packet = std::move(event.packet);
+  channel_->send_to_controller(std::move(message));
+}
+
+void SoftSwitch::invalidate_cache() {
+  if (!pipeline_.cache_enabled()) return;
+  pipeline_.cache().invalidate_all();
+  observe_cache_epoch();
 }
 
 void SoftSwitch::fault_crash() {
@@ -242,10 +248,7 @@ void SoftSwitch::fault_crash() {
     pipeline_.table(t).remove(Match{}, /*strict=*/false);
   pipeline_.groups().clear();
   if (pipeline_.conntrack_enabled()) pipeline_.ct_clear();
-  if (pipeline_.cache_enabled()) {
-    pipeline_.cache().invalidate_all();
-    observe_cache_epoch();
-  }
+  invalidate_cache();
   standalone_macs_.clear();
 }
 
@@ -287,12 +290,9 @@ sim::SimNanos SoftSwitch::standalone_forward(std::uint32_t in_of_port, net::Pack
   packet.charge(charge_ns);
   const net::ParsedPacket parsed = net::parse_cached(packet).parsed;
   if (!parsed.l2_valid) return costs_.standalone_ns;  // not bridgeable: drop
-  const net::VlanId vlan = parsed.has_vlan() ? parsed.vlan_vid() : 0;
-  if (!parsed.eth_src.is_multicast() && !parsed.eth_src.is_zero())
-    standalone_macs_.learn(vlan, parsed.eth_src, static_cast<int>(in_of_port), engine_.now());
-  std::optional<int> out;
-  if (!parsed.eth_dst.is_multicast())
-    out = standalone_macs_.lookup(vlan, parsed.eth_dst, engine_.now());
+  const std::optional<int> out =
+      standalone_macs_.bridge(parsed.has_vlan() ? parsed.vlan_vid() : 0, parsed.eth_src,
+                              parsed.eth_dst, static_cast<int>(in_of_port), engine_.now());
   if (out && static_cast<std::uint32_t>(*out) == in_of_port)
     return costs_.standalone_ns;  // destination on the ingress segment: filter
   if (out) {
@@ -316,21 +316,13 @@ void SoftSwitch::set_port_state(std::uint32_t of_port, bool up) {
   // Cached action programs may reference this port (directly or via a
   // FLOOD fan-out); conservatively invalidate them all so the next
   // packet of every aggregate re-learns against the new port set.
-  if (pipeline_.cache_enabled()) {
-    pipeline_.cache().invalidate_all();
-    observe_cache_epoch();
-  }
-  send_port_status(of_port, up);
+  invalidate_cache();
+  if (channel_ != nullptr)
+    channel_->send_to_controller(PortStatusMsg{PortStatusMsg::Reason::kModify, port_desc(of_port)});
 }
 
-void SoftSwitch::send_port_status(std::uint32_t of_port, bool up) {
-  if (channel_ == nullptr) return;
-  PortStatusMsg status;
-  status.reason = PortStatusMsg::Reason::kModify;
-  status.desc.port_no = of_port;
-  status.desc.name = name() + "/" + std::to_string(of_port);
-  status.desc.up = up;
-  channel_->send_to_controller(status);
+PortDesc SoftSwitch::port_desc(std::uint32_t of_port) const {
+  return PortDesc{of_port, name() + "/" + std::to_string(of_port), port_up_[of_port]};
 }
 
 util::Status SoftSwitch::install(const FlowModMsg& mod) {
@@ -383,12 +375,9 @@ util::Status SoftSwitch::install_group(const GroupModMsg& mod) {
 }
 
 void SoftSwitch::schedule_expiry_sweep() {
-  if (sweep_scheduled_) return;
-  sweep_scheduled_ = true;
   // 100 ms sweep cadence; reschedules itself only while timed entries
   // remain, so idle simulations still drain their event queues.
-  engine_.schedule_after(100'000'000, [this] {
-    sweep_scheduled_ = false;
+  arm(sweep_armed_, 100'000'000, [this] {
     auto expired = pipeline_.collect_expired(engine_.now());
     // Installed flows keep expiring while degraded (fail-secure keeps
     // forwarding on them until they do — the slow bleed Table 8 shows).
@@ -417,14 +406,14 @@ void SoftSwitch::schedule_expiry_sweep() {
 }
 
 void SoftSwitch::schedule_ct_sweep() {
-  if (ct_sweep_scheduled_ || !pipeline_.conntrack_enabled()) return;
-  if (pipeline_.ct_connection_count() == 0) return;
-  ct_sweep_scheduled_ = true;
+  // Runs after every service burst: the flag test comes before the
+  // connection count, which sums every shard.
+  if (ct_sweep_armed_ || !pipeline_.conntrack_enabled() || pipeline_.ct_connection_count() == 0)
+    return;
   // Sweep at the configured cadence (the timer wheel quantizes entry
   // deadlines to the same interval, so one sweep per bucket suffices);
   // re-arm only while connections remain — idle engines still drain.
-  engine_.schedule_after(pipeline_.conntrack(0).config().sweep_interval, [this] {
-    ct_sweep_scheduled_ = false;
+  arm(ct_sweep_armed_, pipeline_.conntrack(0).config().sweep_interval, [this] {
     pipeline_.ct_expire(engine_.now());
     schedule_ct_sweep();
   });
@@ -457,12 +446,11 @@ void SoftSwitch::take_ct_checkpoint() {
 }
 
 void SoftSwitch::schedule_ct_checkpoint() {
-  if (ct_checkpoint_scheduled_ || !failover_.checkpointing() || !pipeline_.conntrack_enabled())
+  // Per-burst like schedule_ct_sweep: cheap tests first.
+  if (ct_checkpoint_armed_ || !failover_.checkpointing() || !pipeline_.conntrack_enabled())
     return;
   if (pipeline_.ct_connection_count() == 0 && ct_checkpoint_.empty()) return;
-  ct_checkpoint_scheduled_ = true;
-  engine_.schedule_after(failover_.checkpoint_interval_ns, [this] {
-    ct_checkpoint_scheduled_ = false;
+  arm(ct_checkpoint_armed_, failover_.checkpoint_interval_ns, [this] {
     // A crashed switch takes no checkpoints — overwriting the held
     // image with the wiped table would defeat the restore it feeds.
     if (restarting_) return;
@@ -506,23 +494,17 @@ void SoftSwitch::enable_ha_active(ReplicationChannel& channel, ReplicationChanne
   ha_role_ = HaRole::kActive;
   install_ha_delta_sinks();
   if (repl_in_ != nullptr) install_ha_receivers(*repl_in_);
-  if (ha_witness_ != nullptr) {
-    // Fail-closed: fenced until the witness grants. The very first
-    // renewal (one rtt away) lifts it in the healthy case.
-    ha_apply_fence(true);
-    ha_renew_lease();
-    schedule_ha_lease_renew();
-  }
+  // Fail-closed: fenced until the witness grants. The very first
+  // renewal (one rtt away) lifts it in the healthy case.
+  if (ha_witness_ != nullptr) ha_apply_fence(true);
+  ha_renew_lease();
+  schedule_ha_lease_renew();
   schedule_ha_heartbeat();
 }
 
 void SoftSwitch::schedule_ha_heartbeat() {
-  if (ha_heartbeat_armed_ || repl_out_ == nullptr) return;
-  const sim::SimNanos interval = repl_out_->spec().heartbeat_interval_ns;
-  if (interval <= 0) return;
-  ha_heartbeat_armed_ = true;
-  engine_.schedule_after(interval, [this] {
-    ha_heartbeat_armed_ = false;
+  if (repl_out_ == nullptr) return;
+  arm(ha_heartbeat_armed_, repl_out_->spec().heartbeat_interval_ns, [this] {
     // A crashed or fenced active is silent — silence *is* the takeover
     // signal, and a fenced box advertising liveness would stall a
     // standby that could otherwise win the lease and serve. The timer
@@ -537,7 +519,6 @@ void SoftSwitch::enable_ha_standby(ReplicationChannel& channel, ReplicationChann
   repl_in_ = &channel;
   repl_out_ = reverse;
   ha_role_ = HaRole::kStandby;
-  last_ha_heartbeat_ = engine_.now();
   install_ha_receivers(channel);
   // A standby never mints state; with a witness attached the fence
   // stays up until this box is actually promoted under a lease.
@@ -548,24 +529,17 @@ void SoftSwitch::enable_ha_standby(ReplicationChannel& channel, ReplicationChann
 void SoftSwitch::set_ha_witness(sim::WitnessLink& link) {
   ha_witness_ = &link;
   // Fail-closed from the moment arbitration is configured: nobody
-  // mints state without a lease.
+  // mints state without a lease. An active starts renewing now.
   ha_apply_fence(true);
-  if (ha_role_ == HaRole::kActive) {
-    ha_renew_lease();
-    schedule_ha_lease_renew();
-  }
+  ha_renew_lease();
+  schedule_ha_lease_renew();
 }
 
 void SoftSwitch::schedule_ha_monitor() {
-  if (ha_monitor_armed_ || repl_in_ == nullptr || ha_role_ != HaRole::kStandby) return;
-  const ReplicationSpec& spec = repl_in_->spec();
-  if (spec.heartbeat_interval_ns <= 0) return;
-  ha_monitor_armed_ = true;
-  engine_.schedule_after(spec.heartbeat_interval_ns, [this] {
-    ha_monitor_armed_ = false;
+  if (repl_in_ == nullptr || ha_role_ != HaRole::kStandby) return;
+  arm(ha_monitor_armed_, repl_in_->spec().heartbeat_interval_ns, [this] {
     if (ha_role_ != HaRole::kStandby) return;  // promotion stops the monitor
     const ReplicationSpec& spec = repl_in_->spec();
-    const sim::SimNanos silence = engine_.now() - last_ha_heartbeat_;
     // A demoted ex-active still begging for its warm resync retries
     // here (the first sync request may have died on the wire).
     if (ha_failback_pending_ && !restarting_ && repl_out_ != nullptr)
@@ -574,9 +548,10 @@ void SoftSwitch::schedule_ha_monitor() {
     // actually arrived the standby cannot distinguish a dead active
     // from sync latency longer than the miss threshold (bootstrap
     // promotion is the operator's call, not the monitor's).
-    if (!restarting_ && ha_heartbeat_seen_ &&
-        silence > static_cast<sim::SimNanos>(spec.takeover_miss_threshold) *
-                      spec.heartbeat_interval_ns) {
+    if (!restarting_ && last_ha_heartbeat_ &&
+        engine_.now() - *last_ha_heartbeat_ >
+            static_cast<sim::SimNanos>(spec.takeover_miss_threshold) *
+                spec.heartbeat_interval_ns) {
       ha_request_promotion();
       // Keep monitoring: with a witness the promotion is asynchronous
       // (and may be denied); the role flip stops the re-arm naturally.
@@ -608,7 +583,7 @@ void SoftSwitch::ha_request_promotion() {
 }
 
 void SoftSwitch::ha_takeover() {
-  if (ha_role_ == HaRole::kActive || ha_promoted_) return;
+  if (ha_role_ == HaRole::kActive) return;
   ha_promoted_ = true;
   ha_role_ = HaRole::kActive;
   ++failover_stats_.takeovers;
@@ -625,14 +600,10 @@ void SoftSwitch::ha_takeover() {
   // ha_request_promotion; lift the fence and start acting the part:
   // publish deltas/heartbeats on the reverse channel, keep renewing.
   ha_set_fenced(false);
-  if (repl_out_ != nullptr) {
-    if (pipeline_.conntrack_enabled()) install_ha_delta_sinks();
-    schedule_ha_heartbeat();
-  }
-  if (ha_witness_ != nullptr) {
-    ha_arm_fence_check(ha_lease_expires_);
-    schedule_ha_lease_renew();
-  }
+  if (repl_out_ != nullptr && pipeline_.conntrack_enabled()) install_ha_delta_sinks();
+  schedule_ha_heartbeat();
+  if (ha_witness_ != nullptr) ha_arm_fence_check(ha_lease_expires_);
+  schedule_ha_lease_renew();
   if (ha_takeover_handler_) ha_takeover_handler_();
 }
 
@@ -677,12 +648,8 @@ void SoftSwitch::ha_renew_lease() {
 }
 
 void SoftSwitch::schedule_ha_lease_renew() {
-  if (ha_renew_armed_ || ha_witness_ == nullptr) return;
-  const sim::SimNanos interval = ha_witness_->spec().renew_interval_ns;
-  if (interval <= 0) return;
-  ha_renew_armed_ = true;
-  engine_.schedule_after(interval, [this] {
-    ha_renew_armed_ = false;
+  if (ha_witness_ == nullptr || ha_role_ != HaRole::kActive) return;
+  arm(ha_renew_armed_, ha_witness_->spec().renew_interval_ns, [this] {
     if (ha_role_ != HaRole::kActive) return;  // a standby does not renew
     ha_renew_lease();  // no-ops while restarting_, resumes after
     schedule_ha_lease_renew();
@@ -690,9 +657,8 @@ void SoftSwitch::schedule_ha_lease_renew() {
 }
 
 void SoftSwitch::ha_arm_fence_check(sim::SimNanos expires_at) {
-  engine_.schedule_at(expires_at, [this, expires_at] {
+  engine_.schedule_at(expires_at, [this] {
     // Stale checks no-op: a renewal moved ha_lease_expires_ forward.
-    (void)expires_at;
     if (ha_role_ != HaRole::kActive || ha_fenced_) return;
     if (engine_.now() >= ha_lease_expires_) ha_set_fenced(true);
   });
@@ -708,8 +674,7 @@ void SoftSwitch::ha_demote(std::uint64_t epoch) {
   // resync bypass the conntrack fence by design — it only gates
   // process()'s miss path.)
   ha_set_fenced(true);
-  last_ha_heartbeat_ = engine_.now();  // restart the silence clock
-  ha_heartbeat_seen_ = false;          // and require fresh contact
+  last_ha_heartbeat_.reset();  // require fresh contact before promoting
   // Warm failback: beg the new active to stream its table back. The
   // monitor retries this while pending, in case the request is lost.
   ha_failback_pending_ = true;
@@ -718,7 +683,6 @@ void SoftSwitch::ha_demote(std::uint64_t epoch) {
 }
 
 void SoftSwitch::on_ha_heartbeat(std::uint64_t epoch) {
-  ha_heartbeat_seen_ = true;
   last_ha_heartbeat_ = engine_.now();
   if (epoch > ha_epoch_) {
     // The peer provably holds a newer lease than we ever did. An
@@ -730,6 +694,13 @@ void SoftSwitch::on_ha_heartbeat(std::uint64_t epoch) {
   }
 }
 
+bool SoftSwitch::ha_accepts(std::size_t shard, std::uint64_t epoch) {
+  if (ha_role_ != HaRole::kStandby || restarting_ || epoch < ha_epoch_) return false;
+  if (!pipeline_.conntrack_enabled() || shard >= pipeline_.shard_count()) return false;
+  ha_epoch_ = epoch;
+  return true;
+}
+
 void SoftSwitch::on_ha_delta(const ReplicationRecord& record) {
   // Epoch gate first: stale-epoch deltas are refused no matter the
   // role — a promoted active must still count (and drop) a fenced
@@ -738,21 +709,15 @@ void SoftSwitch::on_ha_delta(const ReplicationRecord& record) {
     ++failover_stats_.ha_deltas_rejected_epoch;
     return;
   }
-  if (ha_role_ != HaRole::kStandby || restarting_) return;
-  if (!pipeline_.conntrack_enabled() || record.shard >= pipeline_.shard_count()) return;
-  if (record.delta.epoch > ha_epoch_) ha_epoch_ = record.delta.epoch;
+  if (!ha_accepts(record.shard, record.delta.epoch)) return;
   pipeline_.conntrack(record.shard).apply_delta(record.delta, engine_.now());
   schedule_ct_sweep();  // replicated entries must expire here too
 }
 
 void SoftSwitch::on_ha_snapshot(std::size_t shard, const openflow::CtSnapshot& snapshot,
                                 std::uint64_t epoch) {
-  // Failback stream from the current active: only a standby consumes
-  // it, and only at the current (or a newer) epoch.
-  if (ha_role_ != HaRole::kStandby || restarting_) return;
-  if (epoch < ha_epoch_) return;
-  if (!pipeline_.conntrack_enabled() || shard >= pipeline_.shard_count()) return;
-  if (epoch > ha_epoch_) ha_epoch_ = epoch;
+  // Failback stream from the current active.
+  if (!ha_accepts(shard, epoch)) return;
   const std::size_t upserts = pipeline_.conntrack(shard).resync(snapshot, engine_.now());
   failover_stats_.ha_failback_entries += upserts;
   if (ha_failback_pending_ && shard + 1 == pipeline_.shard_count()) {
@@ -791,26 +756,15 @@ void SoftSwitch::handle_controller_message(Message&& message) {
     FeaturesReplyMsg reply;
     reply.datapath_id = datapath_id_;
     reply.table_count = static_cast<std::uint8_t>(pipeline_.table_count());
-    for (std::uint32_t of_port = 1; of_port <= of_port_count_; ++of_port) {
-      PortDesc desc;
-      desc.port_no = of_port;
-      desc.name = name() + "/" + std::to_string(of_port);
-      desc.up = port_up_[of_port];
-      reply.ports.push_back(std::move(desc));
-    }
+    for (std::uint32_t of_port = 1; of_port <= of_port_count_; ++of_port)
+      reply.ports.push_back(port_desc(of_port));
     channel_->send_to_controller(std::move(reply));
     return;
   }
-  if (const auto* mod = std::get_if<FlowModMsg>(&message)) {
-    const util::Status status = install(*mod);
-    if (!status.is_ok()) {
-      ++counters_.errors;
-      channel_->send_to_controller(ErrorMsg{status.message()});
-    }
-    return;
-  }
-  if (const auto* group_mod = std::get_if<GroupModMsg>(&message)) {
-    const util::Status status = install_group(*group_mod);
+  const auto* mod = std::get_if<FlowModMsg>(&message);
+  const auto* group_mod = std::get_if<GroupModMsg>(&message);
+  if (mod != nullptr || group_mod != nullptr) {
+    const util::Status status = mod != nullptr ? install(*mod) : install_group(*group_mod);
     if (!status.is_ok()) {
       ++counters_.errors;
       channel_->send_to_controller(ErrorMsg{status.message()});
@@ -902,17 +856,9 @@ void SoftSwitch::resolve_output(std::uint32_t of_port, std::uint32_t in_of_port,
     case kPortInPort:
       deliver_one(in_of_port, std::move(packet));
       break;
-    case kPortController: {
-      if (channel_ != nullptr && admit_packet_in()) {
-        ++counters_.packet_ins;
-        PacketInMsg punt;
-        punt.in_port = in_of_port;
-        punt.reason = PacketInReason::kAction;
-        punt.packet = std::move(packet);
-        channel_->send_to_controller(std::move(punt));
-      }
+    case kPortController:
+      punt(PacketInEvent{std::move(packet), in_of_port});
       break;
-    }
     default:
       if (of_port == 0 || of_port > of_port_count_) return;  // invalid port: drop
       // OF1.3: output to the ingress port is suppressed unless the
@@ -929,16 +875,7 @@ void SoftSwitch::dispatch_result(PipelineResult& result, std::uint32_t in_of_por
     out_packet.charge(packet_cost / static_cast<sim::SimNanos>(result.outputs.size()));
     resolve_output(of_port, in_of_port, std::move(out_packet));
   }
-  for (PacketInEvent& event : result.packet_ins) {
-    if (channel_ == nullptr || !admit_packet_in()) continue;
-    ++counters_.packet_ins;
-    PacketInMsg punt;
-    punt.in_port = event.in_port;
-    punt.table_id = event.table_id;
-    punt.reason = event.reason;
-    punt.packet = std::move(event.packet);
-    channel_->send_to_controller(std::move(punt));
-  }
+  for (PacketInEvent& event : result.packet_ins) punt(std::move(event));
 }
 
 sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
@@ -1009,13 +946,9 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
   const std::size_t sharers = degraded ? rx_packets : result.results.size();
   sim::SimNanos shared_ns = costs_.rx_tx_pkt_ns;
   if (rss_hashes != 0) shared_ns += costs_.rss_hash_ns;
-  if (sharers != 0) {
-    sim::SimNanos overhead =
-        costs_.rx_tx_burst_ns + static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns;
-    if (cache)
-      overhead += static_cast<sim::SimNanos>(result.replay_groups) * costs_.replay_setup_ns;
-    shared_ns += overhead / static_cast<sim::SimNanos>(sharers);
-  }
+  if (sharers != 0)
+    shared_ns += costs_.burst_overhead_ns(queues_polled(), result.replay_groups, cache) /
+                 static_cast<sim::SimNanos>(sharers);
 
   if (degraded) {
     sim::SimNanos bridged = 0;

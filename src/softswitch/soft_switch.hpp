@@ -185,6 +185,19 @@ struct DatapathCosts {
     return rx_tx_burst_ns + rx_tx_pkt_ns + marginal_cost_ns(result, cache_enabled);
   }
 
+  /// The per-burst overhead the whole burst shares: the rx/tx setup,
+  /// the poll sweep over `queues_polled` RX queues and, with the cache
+  /// on, one replay setup per megaflow group. burst_cost_ns bills it
+  /// once; service_burst splits it evenly across the packets.
+  [[nodiscard]] sim::SimNanos burst_overhead_ns(std::size_t queues_polled,
+                                                std::uint32_t replay_groups,
+                                                bool cache_enabled) const {
+    sim::SimNanos cost =
+        rx_tx_burst_ns + static_cast<sim::SimNanos>(queues_polled) * rx_poll_ns;
+    if (cache_enabled) cost += static_cast<sim::SimNanos>(replay_groups) * replay_setup_ns;
+    return cost;
+  }
+
   /// The full bill for one service burst — shared by
   /// SoftSwitch::service_burst (every burst, per-packet and degraded
   /// ones included) and the burst-sweep bench. An empty `burst` bills
@@ -200,12 +213,9 @@ struct DatapathCosts {
                                             bool cache_enabled, std::size_t rx_packets,
                                             std::size_t queues_polled,
                                             std::size_t rss_hashes = 0) const {
-    sim::SimNanos cost = rx_tx_burst_ns +
-                         static_cast<sim::SimNanos>(queues_polled) * rx_poll_ns +
+    sim::SimNanos cost = burst_overhead_ns(queues_polled, burst.replay_groups, cache_enabled) +
                          static_cast<sim::SimNanos>(rx_packets) * rx_tx_pkt_ns +
                          static_cast<sim::SimNanos>(rss_hashes) * rss_hash_ns;
-    if (cache_enabled)
-      cost += static_cast<sim::SimNanos>(burst.replay_groups) * replay_setup_ns;
     for (const openflow::PipelineResult& result : burst.results)
       cost += marginal_cost_ns(result, cache_enabled);
     return cost;
@@ -417,13 +427,16 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// Enable the stateful conntrack tier (one connection-table shard per
   /// worker core; see openflow/conntrack.hpp). Call before traffic,
   /// like the other datapath shape knobs. Idle connections expire off a
-  /// self-disarming sweep timer (CtConfig::sweep_interval cadence).
+  /// self-disarming sweep timer (CtConfig::sweep_interval cadence, which
+  /// must be positive — util::ConfigError otherwise).
   void enable_conntrack(const openflow::CtConfig& config) {
     pipeline_.enable_conntrack(config);
   }
 
   /// Enable (or reconfigure) controller-loss handling. With the probe
   /// timer armed the engine's queue never drains — use run_until().
+  /// Throws util::ConfigError for an enabled spec whose backoff
+  /// initial delay or cap is not positive.
   void set_failover(const FailoverSpec& spec);
   [[nodiscard]] const FailoverSpec& failover() const { return failover_; }
   [[nodiscard]] const FailoverStats& failover_stats() const { return failover_stats_; }
@@ -524,9 +537,28 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   };
 
   void handle_controller_message(openflow::Message&& message);
-  void send_port_status(std::uint32_t of_port, bool up);
+  /// OF port `of_port` as the features reply and port-status report it.
+  [[nodiscard]] openflow::PortDesc port_desc(std::uint32_t of_port) const;
   /// Resolve a (possibly reserved) OF output port into concrete ports.
   void resolve_output(std::uint32_t of_port, std::uint32_t in_of_port, net::Packet&& packet);
+  /// Send one packet-in to the controller, unless there is no channel
+  /// or the gate refuses it: dropped while degraded (fail-secure) or
+  /// over the warm-up budget, each counted.
+  void punt(openflow::PacketInEvent&& event);
+  /// Drop every cached action program (no-op with the cache off).
+  void invalidate_cache();
+  /// Arm one self-re-arming timer: no-op while `armed` is set or when
+  /// `delay <= 0` (a zero cadence would freeze simulated time). The
+  /// firing clears `armed` before running `body`, so `body` may re-arm.
+  template <typename Body>
+  void arm(bool& armed, sim::SimNanos delay, Body body) {
+    if (armed || delay <= 0) return;
+    armed = true;
+    engine_.schedule_after(delay, [&armed, body] {
+      armed = false;
+      body();
+    });
+  }
   void schedule_expiry_sweep();
   /// Arm the conntrack expiry sweep (no-op when already armed or no
   /// connections are live). Mirrors schedule_expiry_sweep: re-arms
@@ -558,6 +590,8 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// Active: ask the witness to (re)grant the lease; a denial fences
   /// and, when it reveals a newer epoch, demotes.
   void ha_renew_lease();
+  /// Arm the lease renewal loop (no-op without a witness or unless
+  /// active; the loop stops once the role changes).
   void schedule_ha_lease_renew();
   /// Arm the self-fencing deadline: at `expires_at`, fence unless the
   /// lease was renewed past it in the meantime.
@@ -569,6 +603,10 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// keep the fence up, and beg the new active for a warm resync.
   void ha_demote(std::uint64_t epoch);
   void on_ha_heartbeat(std::uint64_t epoch);
+  /// Replica gate for replicated conntrack state: only a live standby,
+  /// only a shard in range, only at our epoch or a newer one (which it
+  /// adopts).
+  bool ha_accepts(std::size_t shard, std::uint64_t epoch);
   void on_ha_delta(const ReplicationRecord& record);
   void on_ha_snapshot(std::size_t shard, const openflow::CtSnapshot& snapshot,
                       std::uint64_t epoch);
@@ -580,10 +618,8 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     return failover_.enabled() && !connected_ &&
            failover_.mode == FailoverSpec::Mode::kFailStandalone;
   }
-  /// Gate one packet-in: false while degraded (fail-secure drop) or
-  /// over the warm-up budget; counts what it suppresses.
-  bool admit_packet_in();
-  void arm_liveness();
+  /// Arm the echo-probe liveness loop (no-op while failover is
+  /// disabled or no channel is attached).
   void schedule_echo();
   void on_control_lost();
   void schedule_reconnect_attempt();
@@ -615,8 +651,8 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
 
   std::unordered_map<std::uint32_t, PatchBinding> patches_;
   std::vector<bool> port_up_;
-  bool sweep_scheduled_ = false;
-  bool ct_sweep_scheduled_ = false;
+  bool sweep_armed_ = false;
+  bool ct_sweep_armed_ = false;
   // Failover state. connected_ means "the switch believes its control
   // session is alive"; it starts true (attaching a channel is the
   // session) and only ever changes when failover is enabled.
@@ -637,15 +673,16 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   // state fault_crash wipes — it models a snapshot persisted off-box
   // (disk / peer), which is the entire point of checkpointing.
   std::vector<openflow::CtSnapshot> ct_checkpoint_;
-  bool ct_checkpoint_scheduled_ = false;
+  bool ct_checkpoint_armed_ = false;
   bool ct_state_restored_ = false;  // restore happened; next resync is warm
   ReplicationChannel* repl_out_ = nullptr;  // publish direction (this -> peer)
   ReplicationChannel* repl_in_ = nullptr;   // listen direction (peer -> this)
   bool ha_heartbeat_armed_ = false;
   bool ha_monitor_armed_ = false;
   bool ha_promoted_ = false;
-  bool ha_heartbeat_seen_ = false;  // monitor only trips after first contact
-  sim::SimNanos last_ha_heartbeat_ = 0;
+  /// Arrival of the last heartbeat; empty until first contact (the
+  /// monitor only trips after it).
+  std::optional<sim::SimNanos> last_ha_heartbeat_;
   std::function<void()> ha_takeover_handler_;
   // Witness-arbitrated fencing + failback (PR 10). All inert without
   // set_ha_witness / a reverse channel — the PR-9 pair exactly.

@@ -249,9 +249,9 @@ struct SinglePortRun {
 SinglePortRun run_single_port(const Script& script, sim::SchedulerSpec scheduler) {
   RigOptions options;
   options.host_count = 4;
-  options.burst_size = 8;
-  options.scheduler = scheduler;
-  options.port_queue_capacity = 16;  // tight per-port bound: drops happen
+  options.fabric.burst_size = 8;
+  options.fabric.ingress.scheduler = scheduler;
+  options.fabric.ingress.port_queue_capacity = 16;  // tight per-port bound: drops happen
   NativeRig rig(options);
 
   for (const Script::Event& event : script.events) {
@@ -320,8 +320,8 @@ TEST(SchedulerMultiset, ReorderingNeverChangesWhatIsDeliveredOrCounted) {
   auto run = [](sim::SchedulerSpec scheduler) {
     RigOptions options;
     options.host_count = 4;
-    options.burst_size = 16;
-    options.scheduler = scheduler;
+    options.fabric.burst_size = 16;
+    options.fabric.ingress.scheduler = scheduler;
     NativeRig rig(options);
 
     SimNanos at = 10'000;

@@ -153,7 +153,7 @@ TEST_P(Transparency, HarmlessEqualsNativeForSameProgram) {
   RigOptions options;
   options.host_count = kHosts;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.trunk_link = sim::LinkSpec::gbps(10);
+  options.fabric.trunk_link = sim::LinkSpec::gbps(10);
 
   NativeRig native(options);
   const Deliveries expected = run_scenario(program, traffic, *native.datapath, native);

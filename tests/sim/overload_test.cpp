@@ -23,7 +23,7 @@ TEST(Overload, SoftSwitchQueueDropsUnderSaturation) {
   // the batched datapath out-serves this feed — see the next test.)
   RigOptions options;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 1;
+  options.fabric.burst_size = 1;
   NativeRig rig(options);
   sim::LatencyRecorder recorder;
   rig.hosts[0]->set_recorder(&recorder);
@@ -52,7 +52,7 @@ TEST(Overload, BatchedDatapathAbsorbsTheSameFeed) {
   // and nothing tail-drops.
   RigOptions options;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 32;
+  options.fabric.burst_size = 32;
   NativeRig rig(options);
   sim::LatencyRecorder recorder;
   rig.hosts[0]->set_recorder(&recorder);
@@ -82,9 +82,9 @@ IsolationRun isolation_run(sim::SchedulerSpec scheduler, std::size_t port_queue_
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 1;  // the CPU-bound per-packet datapath: overload is real
-  options.scheduler = scheduler;
-  options.port_queue_capacity = port_queue_capacity;
+  options.fabric.burst_size = 1;  // the CPU-bound per-packet datapath: overload is real
+  options.fabric.ingress.scheduler = scheduler;
+  options.fabric.ingress.port_queue_capacity = port_queue_capacity;
   NativeRig rig(options);
   sim::LatencyRecorder mouse;
   rig.hosts[1]->set_recorder(&mouse);
@@ -132,8 +132,8 @@ TEST(Overload, TrunkQueueIsTheBottleneckWhenOversubscribed) {
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.trunk_link = sim::LinkSpec::gbps(2);
-  options.trunk_link.queue_capacity_packets = 64;
+  options.fabric.trunk_link = sim::LinkSpec::gbps(2);
+  options.fabric.trunk_link.queue_capacity_packets = 64;
   HarmlessRig rig(options);
 
   for (int i = 0; i < 4; ++i)
@@ -155,7 +155,7 @@ TEST(Overload, PacedLoadWithinCapacityLosesNothing) {
   RigOptions options;
   options.host_count = 2;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.trunk_link = sim::LinkSpec::gbps(10);
+  options.fabric.trunk_link = sim::LinkSpec::gbps(10);
   HarmlessRig rig(options);
   sim::LatencyRecorder recorder;
   rig.hosts[0]->set_recorder(&recorder);

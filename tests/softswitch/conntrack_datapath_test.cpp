@@ -8,6 +8,7 @@
 #include "net/l4.hpp"
 #include "sim/network.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/status.hpp"
 
 namespace harmless::softswitch {
 namespace {
@@ -223,6 +224,19 @@ TEST(ConntrackDatapath, SweepExpiresIdleConnectionsOnTheEngine) {
   EXPECT_EQ(counters.ct_connections, 0u);
   // The engine drained — the sweep must disarm itself once the table
   // is empty (otherwise network.run() would never have returned).
+}
+
+TEST(ConntrackDatapath, NonPositiveSweepIntervalIsRejected) {
+  // The sweep re-arms itself at this cadence: a zero interval would
+  // redispatch at the same instant forever once a connection is live.
+  Network network;
+  auto& sw = network.add_node<SoftSwitch>("sw", 0xC8, 2);
+  CtConfig config;
+  config.sweep_interval = 0;
+  EXPECT_THROW(sw.enable_conntrack(config), util::ConfigError);
+  config.sweep_interval = -1;
+  EXPECT_THROW(sw.enable_conntrack(config), util::ConfigError);
+  EXPECT_FALSE(sw.pipeline().conntrack_enabled());
 }
 
 TEST(ConntrackDatapath, CtCostsAreBilled) {

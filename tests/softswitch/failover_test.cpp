@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
@@ -23,6 +25,7 @@
 #include "softswitch/replication.hpp"
 #include "softswitch/soft_switch.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace {
 
@@ -236,6 +239,23 @@ TEST(Failover, SwitchCrashWipesStateAndResyncRestores) {
   EXPECT_TRUE(rig.sw->control_connected());
   EXPECT_GE(stats.resyncs, 1u);
   EXPECT_EQ(rig.sw->pipeline().table(0).entries().size(), rig.rule_count);
+}
+
+TEST(Failover, NonPositiveBackoffIsRejected) {
+  // The reconnect loop re-arms at the backoff delay: a zero backoff
+  // would resend its Hello at the same instant forever.
+  sim::Network network;
+  auto& sw = network.add_node<SoftSwitch>("sw", 0xA5, 2, /*table_count=*/1);
+  FailoverSpec spec = probing(FailoverSpec::Mode::kFailSecure);
+  spec.backoff_initial_ns = 0;
+  EXPECT_THROW(sw.set_failover(spec), util::ConfigError);
+  spec.backoff_initial_ns = 1'000'000;
+  spec.backoff_cap_ns = 0;
+  EXPECT_THROW(sw.set_failover(spec), util::ConfigError);
+  EXPECT_FALSE(sw.failover().enabled());
+  // A disabled spec runs no reconnect loop, so its backoff is moot.
+  spec.echo_interval_ns = 0;
+  EXPECT_NO_THROW(sw.set_failover(spec));
 }
 
 TEST(ControlChannelFailable, AttributesEveryLoss) {
@@ -911,6 +931,212 @@ TEST(WitnessFailback, ExActiveRejoinsWarmWithNatBindings) {
   EXPECT_LE(static_cast<int>(act.ha_unfenced_active()) +
                 static_cast<int>(stb.ha_unfenced_active()),
             1);
+}
+
+// ---- control-side pin: every FailoverStats field over one schedule ----
+
+/// Every FailoverStats field in declaration order, then the two
+/// control-facing datapath counters: one pinned row per switch.
+constexpr const char* kPinnedFields[] = {
+    "disconnects", "reconnects", "resyncs", "echo_sent", "echo_replies", "echo_misses",
+    "reconnect_attempts", "packet_ins_dropped", "warmup_packet_ins_dropped", "standalone_packets",
+    "standalone_floods", "flows_expired_degraded", "flows_reinstalled", "crashes", "restarts",
+    "dropped_restarting", "checkpoints", "ct_restored", "ct_restore_dropped", "takeovers",
+    "warm_resyncs", "ha_fences", "ha_unfences", "ha_lease_grants", "ha_lease_denials",
+    "ha_promotions_denied", "ha_demotions", "ha_failbacks", "ha_failback_entries",
+    "ha_deltas_rejected_epoch", "checkpoint_entries", "checkpoint_bytes",
+    "checkpoint_shards_skipped", "checkpoint_ns_billed", "degraded_ns", "last_disconnect_at",
+    "last_reconnect_at", "last_resync_at", "counters.packet_ins", "counters.errors",
+};
+
+std::vector<std::int64_t> pinned_values(const SoftSwitch& sw) {
+  const auto& s = sw.failover_stats();
+  const auto& c = sw.counters();
+  const auto v = [](auto x) { return static_cast<std::int64_t>(x); };
+  return {v(s.disconnects), v(s.reconnects), v(s.resyncs), v(s.echo_sent), v(s.echo_replies),
+          v(s.echo_misses), v(s.reconnect_attempts), v(s.packet_ins_dropped),
+          v(s.warmup_packet_ins_dropped), v(s.standalone_packets), v(s.standalone_floods),
+          v(s.flows_expired_degraded), v(s.flows_reinstalled), v(s.crashes), v(s.restarts),
+          v(s.dropped_restarting), v(s.checkpoints), v(s.ct_restored), v(s.ct_restore_dropped),
+          v(s.takeovers), v(s.warm_resyncs), v(s.ha_fences), v(s.ha_unfences), v(s.ha_lease_grants),
+          v(s.ha_lease_denials), v(s.ha_promotions_denied), v(s.ha_demotions), v(s.ha_failbacks),
+          v(s.ha_failback_entries), v(s.ha_deltas_rejected_epoch), v(s.checkpoint_entries),
+          v(s.checkpoint_bytes), v(s.checkpoint_shards_skipped), v(s.checkpoint_ns_billed),
+          v(s.degraded_ns), v(s.last_disconnect_at), v(s.last_reconnect_at), v(s.last_resync_at),
+          v(c.packet_ins), v(c.errors)};
+}
+
+void expect_pinned(const char* label, const SoftSwitch& sw,
+                   const std::vector<std::int64_t>& expected) {
+  const std::vector<std::int64_t> observed = pinned_values(sw);
+  ASSERT_EQ(observed.size(), std::size(kPinnedFields));
+  ASSERT_EQ(expected.size(), observed.size()) << label;
+  for (std::size_t i = 0; i < observed.size(); ++i)
+    EXPECT_EQ(observed[i], expected[i]) << label << "." << kPinnedFields[i];
+}
+
+// One seeded schedule over the whole control side — liveness, the
+// packet-in gates, degraded expiry, checkpoints and the witness HA pair
+// — pinning every FailoverStats field of every switch, so a dropped or
+// doubled increment anywhere in it shows.
+TEST(FailoverStatsPin, SeededControlAndHaSchedule) {
+  // (1) Fail-secure controller loss with a small warm-up budget and
+  // timed flows that expire while disconnected.
+  FailoverSpec warm = probing(FailoverSpec::Mode::kFailSecure);
+  warm.warmup_ns = 40 * kMs;
+  warm.warmup_packet_in_budget = 4;
+  Rig rig(3, warm);
+  for (int i = 0; i < 2; ++i) {
+    openflow::FlowModMsg timed = l2_rule(2);
+    timed.priority = static_cast<std::uint16_t>(20 + i);
+    timed.match.eth_src(host_mac(i));
+    if (i == 0) timed.hard_timeout = 50 * kMs;
+    else timed.idle_timeout = 30 * kMs;
+    timed.send_flow_removed = i == 0;
+    rig.sw->install(timed).check();
+  }
+  const auto miss = [&rig](std::size_t count) {
+    rig.hosts[0]->send_udp_stream(host_mac(77), host_ip(77), count, 64, 10'000);
+    rig.network.run_until(rig.network.now() + 2 * kMs);
+  };
+  miss(5);
+  openflow::FlowModMsg bad_table = l2_rule(0);
+  bad_table.table_id = 9;
+  rig.session->send(bad_table);
+  openflow::GroupModMsg bad_group;
+  bad_group.command = openflow::GroupModMsg::Command::kModify;
+  bad_group.entry.group_id = 42;
+  rig.session->send(bad_group);
+  rig.sw->set_port_state(3, false);
+  rig.sw->set_port_state(3, true);
+  rig.network.run_until(rig.network.now() + 2 * kMs);
+
+  rig.ctrl.fault_crash();
+  rig.network.run_until(rig.network.now() + 10 * kMs);
+  miss(5);  // fail-secure drops
+  rig.network.run_until(250 * kMs);  // two expiry sweeps while deaf
+  rig.ctrl.fault_restart();
+  rig.network.run_until(rig.network.now() + 30 * kMs);
+  const net::FlowKey punted{host_mac(0), host_mac(77), host_ip(0), host_ip(77), 1, 2};
+  rig.session->packet_out(net::make_udp(punted), {openflow::to_controller()}, 1);
+  miss(10);  // over the warm-up budget
+  rig.network.run_until(rig.network.now() + 45 * kMs);
+  miss(3);   // window closed
+  rig.sw->fault_crash();
+  miss(2);
+  rig.sw->fault_restart();
+  rig.network.run_until(rig.network.now() + 30 * kMs);
+
+  // Fail-standalone: flood, learn, forward, then flush on reconnect.
+  Rig bridge(3, probing(FailoverSpec::Mode::kFailStandalone), /*install_l2=*/false);
+  bridge.ctrl.fault_crash();
+  bridge.network.run_until(bridge.network.now() + 10 * kMs);
+  bridge.stream(0, 1, 4);
+  bridge.network.run_until(bridge.network.now() + kMs);
+  bridge.stream(1, 0, 4);
+  bridge.stream(2, 2, 2);  // destination on the ingress segment
+  bridge.network.run_until(bridge.network.now() + kMs);
+  bridge.ctrl.fault_restart();
+  bridge.network.run_until(bridge.network.now() + 30 * kMs);
+
+  // (2) Full and incremental checkpoints through a crash/restart.
+  std::vector<std::unique_ptr<CtRig>> ct_rigs;
+  for (const bool incremental : {false, true}) {
+    FailoverSpec spec = checkpointing_spec(kMs);
+    spec.incremental_checkpoints = incremental;
+    auto ct = std::make_unique<CtRig>(spec);
+    ct->establish();
+    ct->network.run_until(ct->network.now() + 4 * kMs);
+    ct->sw->fault_crash();
+    ct->network.run_until(ct->network.now() + kMs);
+    ct->sw->fault_restart();
+    ct->network.run_until(ct->network.now() + 30 * kMs);
+    for (int i = 0; i < 3; ++i) {
+      ct->a->send(net::make_tcp(ct->flow, net::kTcpAck));
+      ct->network.run_until(ct->network.now() + 2 * kMs);
+    }
+    ct_rigs.push_back(std::move(ct));
+  }
+
+  // (3) Witness HA pair: denied promotion, fence, takeover, stale-epoch
+  // deltas, demotion and warm failback.
+  sim::Network network;
+  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
+  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
+  act.enable_conntrack(openflow::CtConfig{});
+  stb.enable_conntrack(openflow::CtConfig{});
+  sim::Host& a = network.add_host("a", host_mac(0), host_ip(0));
+  sim::Host& b = network.add_host("b", host_mac(1), host_ip(1));
+  network.connect(a, 0, act, 0, sim::LinkSpec::gbps(10));
+  network.connect(b, 0, act, 1, sim::LinkSpec::gbps(10));
+  for (const openflow::FlowModMsg& rule : snat_rules(a.mac(), b.mac())) {
+    act.install(rule).check();
+    stb.install(rule).check();
+  }
+  softswitch::ReplicationChannel ab(network.engine());  // act -> stb
+  softswitch::ReplicationChannel ba(network.engine());  // stb -> act
+  sim::Witness witness;
+  sim::WitnessLink wl_act(network.engine(), witness, 0xA1);
+  sim::WitnessLink wl_stb(network.engine(), witness, 0xA2);
+  act.enable_ha_active(ab, &ba);
+  act.set_ha_witness(wl_act);  // witness after the role: the renew loop starts here
+  stb.set_ha_witness(wl_stb);
+  stb.enable_ha_standby(ab, &ba);
+  network.run_until(kMs);
+  for (int i = 0; i < 3; ++i) {
+    const net::FlowKey flow{a.mac(), b.mac(), a.ip(), b.ip(),
+                            static_cast<std::uint16_t>(40000 + i), 80};
+    a.send(net::make_tcp(flow, net::kTcpSyn));
+    network.run_until(network.now() + kMs);
+  }
+  ab.set_up(false);  // silence without a lease quorum: denied
+  network.run_until(network.now() + 6 * kMs);
+  ab.set_up(true);
+  network.run_until(network.now() + 3 * kMs);
+  act.fault_crash();
+  network.run_until(network.now() + 10 * kMs);
+  openflow::CtDelta stale;
+  stale.epoch = 1;
+  for (int i = 0; i < 3; ++i) ab.publish(0, stale);  // the old active's in-flight tail
+  network.run_until(network.now() + kMs);
+  act.fault_restart();
+  network.run_until(network.now() + 10 * kMs);
+  ba.publish(0, stale);  // stale at the demoted ex-active too
+  stb.ha_takeover();     // idempotent
+  network.run_until(network.now() + 5 * kMs);
+  ASSERT_EQ(act.ha_role(), SoftSwitch::HaRole::kStandby);
+  ASSERT_TRUE(stb.ha_unfenced_active());
+
+  expect_pinned("ctl", *rig.sw,
+                {2, 2, 2, 230, 225, 3, 29, 5, 7, 0,
+                 0, 2, 8, 1, 1, 2, 0, 0, 0, 0,
+                 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 0, 0, 0, 0, 243859739, 331000000, 332309739, 332409739, 12, 2});
+  expect_pinned("standalone", *bridge.sw,
+                {1, 1, 1, 66, 62, 3, 3, 0, 0, 10,
+                 4, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+                 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 0, 0, 0, 0, 10550000, 3500000, 14050000, 14150000, 0, 0});
+  expect_pinned("ct_full", *ct_rigs[0]->sw,
+                {1, 1, 1, 86, 84, 0, 1, 0, 0, 0,
+                 0, 0, 4, 1, 1, 0, 41, 1, 0, 0,
+                 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 41, 2460, 0, 1640, 1120182, 9000000, 10120182, 10220182, 0, 0});
+  expect_pinned("ct_incremental", *ct_rigs[1]->sw,
+                {1, 1, 1, 86, 84, 0, 1, 0, 0, 0,
+                 0, 0, 4, 1, 1, 0, 41, 1, 0, 0,
+                 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 6, 360, 35, 240, 1120182, 9000000, 10120182, 10220182, 0, 0});
+  expect_pinned("act", act,
+                {0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 0, 0, 0, 1, 1, 0, 0, 0, 0, 0,
+                 0, 1, 1, 27, 0, 0, 1, 1, 3, 1,
+                 0, 0, 0, 0, 0, -1, -1, -1, 0, 0});
+  expect_pinned("stb", stb,
+                {0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
+                 0, 0, 1, 48, 11, 11, 0, 0, 0, 3,
+                 0, 0, 0, 0, 0, -1, -1, -1, 0, 0});
 }
 
 TEST(LegacyLinkDown, FlushesMacsLearnedOnPort) {

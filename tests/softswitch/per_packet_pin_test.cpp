@@ -90,13 +90,13 @@ void fnv_fold(std::uint64_t& digest, std::uint64_t value) {
 /// disconnected — in fail-standalone mode, bridging by MAC learning.
 Observed run_script(const Variant& variant) {
   RigOptions options;
-  options.burst_size = variant.burst_size;
-  options.scheduler.adaptive_burst = variant.adaptive;
-  options.flow_cache = variant.flow_cache;
-  options.cores.cores = variant.cores;
-  options.cores.rss = sim::RssPolicy::kStride;  // ports alternate cores
-  options.failover.mode = FailoverSpec::Mode::kFailStandalone;
-  options.failover.echo_interval_ns = 1'000'000'000;  // no probe fires inside the run
+  options.fabric.burst_size = variant.burst_size;
+  options.fabric.ingress.scheduler.adaptive_burst = variant.adaptive;
+  options.fabric.flow_cache = variant.flow_cache;
+  options.fabric.ingress.cores.cores = variant.cores;
+  options.fabric.ingress.cores.rss = sim::RssPolicy::kStride;  // ports alternate cores
+  options.fabric.ss2_failover.mode = FailoverSpec::Mode::kFailStandalone;
+  options.fabric.ss2_failover.echo_interval_ns = 1'000'000'000;  // no probe fires inside the run
   NativeRig rig(options);
   softswitch::SoftSwitch& sw = *rig.datapath;
   openflow::ControlChannel channel(rig.network.engine());
