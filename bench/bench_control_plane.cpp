@@ -11,7 +11,8 @@
 //   (c) install throughput — back-to-back flow_mods bounded by a
 //       barrier round-trip.
 // The control channel models a 50 us one-way management-network hop;
-// all results scale linearly with that knob (FabricSpec::control_latency).
+// all results scale linearly with that latency (the `one_way_latency`
+// argument of openflow::ControlChannel).
 #include <iostream>
 
 #include "bench/common.hpp"

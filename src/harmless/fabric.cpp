@@ -42,9 +42,7 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
 
   // SS_2's controller channel (connected to a Controller by the caller
   // or the Manager).
-  fabric.channel_ =
-      std::make_unique<openflow::ControlChannel>(network.engine(), spec.control_latency);
-  fabric.channel_->set_min_gap(spec.control_min_gap);
+  fabric.channel_ = std::make_unique<openflow::ControlChannel>(network.engine());
   fabric.ss2_->attach_channel(*fabric.channel_);
   if (spec.ss2_failover.enabled()) fabric.ss2_->set_failover(spec.ss2_failover);
   return fabric;
@@ -59,13 +57,13 @@ void Fabric::register_faults(sim::FaultInjector& injector) {
   // Per-leg trunk targets: trunk_channels_ holds both directions of
   // each bonded leg, in leg order.
   for (std::size_t i = 0; i < trunk_channels_.size(); ++i)
-    injector.register_link("trunk:leg" + std::to_string(i / 2), *trunk_channels_[i]);
+    injector.register_point("trunk:leg" + std::to_string(i / 2), *trunk_channels_[i]);
 }
 
 void Fabric::register_faults(sim::FaultInjector& injector, sim::Network& network) {
   register_faults(injector);
   for (const auto& channel : network.channels())
-    injector.register_link("link:" + channel->label(), *channel);
+    injector.register_point("link:" + channel->label(), *channel);
 }
 
 void Fabric::set_trunk_up(bool up) {

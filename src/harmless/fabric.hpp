@@ -53,13 +53,6 @@ struct FabricSpec {
   /// burst scheduler and one flow-cache shard per core). FCFS over the
   /// shared bound with one core == the historical shared-FIFO datapath.
   sim::IngressSpec ingress;
-  /// Control channel one-way latency (controller is usually on-box or
-  /// one rack away).
-  sim::SimNanos control_latency = 50'000;
-  /// Control-channel per-message serialization gap (0 = instantaneous
-  /// pipe; set to model resync time scaling with flow count). The
-  /// channel starts pristine; fault plans impair it at run time.
-  sim::SimNanos control_min_gap = 0;
   /// SS_2 controller-loss behaviour (disabled by default: no probes,
   /// PR-6-identical). SS_1 never gets one — it has no controller.
   softswitch::FailoverSpec ss2_failover;

@@ -127,7 +127,4 @@ using Message =
                  FlowStatsReplyMsg, BarrierRequestMsg, BarrierReplyMsg, EchoRequestMsg,
                  EchoReplyMsg, ErrorMsg>;
 
-/// Message type name for logs ("flow_mod", "packet_in", ...).
-[[nodiscard]] const char* message_name(const Message& message);
-
 }  // namespace harmless::openflow

@@ -1,13 +1,16 @@
 // sim/faults.hpp — the deterministic fault-injection layer.
 //
 // A FaultPlan is a declarative schedule of failures — link flaps,
-// control-channel partitions, loss/latency impairments, controller or
+// control-channel, replication and witness partitions, controller or
 // switch crash+restart windows — and the FaultInjector compiles it
 // into ordinary engine events against *registered* targets. Nothing
-// here knows about OpenFlow or soft switches: higher layers register
-// sim::Channels (wires) under names, and anything else that can fail
-// implements the FaultPoint seam below (ControlChannel, SoftSwitch,
-// Controller all do).
+// here knows about OpenFlow or soft switches: anything that can fail
+// implements the FaultPoint seam below (sim::Channel and every
+// sim::Wire — ControlChannel, ReplicationChannel, WitnessLink — as
+// well as SoftSwitch, Controller and Witness) and registers under a
+// name. Message loss and jitter are not plan verbs: a lossy control or
+// replication channel is configured up front with set_impairment (or
+// ReplicationSpec).
 //
 // Determinism is the whole point: a plan's random helpers draw from a
 // util::Rng seeded by FaultPlan::seed at *build* time, the compiled
@@ -20,33 +23,25 @@
 // without the injector.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/link.hpp"
 #include "sim/time.hpp"
 
 namespace harmless::sim {
 
 /// The seam a failable component exposes to the injector. Default
 /// implementations ignore verbs that make no sense for the component
-/// (a wire cannot "crash"; a switch cannot "lose 10% of messages").
+/// (a wire cannot "crash"; a switch cannot be partitioned).
 class FaultPoint {
  public:
   virtual ~FaultPoint() = default;
-  /// Partition / restore (links, control channels). Down means every
+  /// Partition / restore (links and message wires). Down means every
   /// message or frame handed over — or in flight — is lost.
   virtual void fault_set_up(bool up) { (void)up; }
-  /// Transient impairment: per-message loss probability plus up to
-  /// `extra_latency_ns` of uniform added latency. (0, 0) clears it.
-  virtual void fault_impair(double loss_probability, SimNanos extra_latency_ns) {
-    (void)loss_probability;
-    (void)extra_latency_ns;
-  }
   /// Hard crash: the component loses its volatile state and stops
   /// responding until fault_restart().
   virtual void fault_crash() {}
@@ -57,12 +52,10 @@ class FaultPoint {
 
 /// One compiled fault action at an absolute simulated time.
 struct FaultEvent {
-  enum class Kind : std::uint8_t { kDown, kUp, kImpair, kCrash, kRestart };
+  enum class Kind : std::uint8_t { kDown, kUp, kCrash, kRestart };
   SimNanos at = 0;
   Kind kind = Kind::kDown;
   std::string target;
-  double loss = 0.0;             // kImpair
-  SimNanos extra_latency = 0;    // kImpair
 };
 
 /// A declarative failure schedule. Build it with the fluent helpers
@@ -78,11 +71,6 @@ struct FaultPlan {
   /// `at + duration` automatically.
   FaultPlan& down(const std::string& target, SimNanos at, SimNanos duration = 0);
   FaultPlan& up(const std::string& target, SimNanos at);
-
-  /// Impair `target` (loss probability + latency jitter) from `at`;
-  /// with duration > 0 the impairment clears at `at + duration`.
-  FaultPlan& impair(const std::string& target, SimNanos at, double loss,
-                    SimNanos extra_latency, SimNanos duration = 0);
 
   /// Crash `target` at `at`; with duration > 0 it restarts at
   /// `at + duration` (0 = stays dead).
@@ -114,34 +102,26 @@ class FaultInjector {
  public:
   explicit FaultInjector(Engine& engine) : engine_(engine) {}
 
-  /// Register a wire under `name`. Call repeatedly to group several
-  /// *distinct* channels (both directions of a duplex link, every leg
-  /// of a bonded trunk) under one target name — a kDown hits them all.
-  /// Re-registering the same channel under the same name, or reusing a
-  /// name already taken by a FaultPoint, throws util::ConfigError —
-  /// a silently shadowed target would make a chaos schedule lie.
-  void register_link(const std::string& name, Channel& channel);
-
-  /// Register any FaultPoint (control channel, switch, controller)
-  /// under `name`. Multiple distinct points may share a name; the same
-  /// duplicate/cross-type guards as register_link() apply.
+  /// Register any FaultPoint (a link direction, control channel,
+  /// switch, controller) under `name`. Call repeatedly to group several
+  /// *distinct* points under one target name (both directions of a
+  /// duplex link, every leg of a bonded trunk) — a plan event hits them
+  /// all. Re-registering the same point under the same name throws
+  /// util::ConfigError — a silently doubled target would make a chaos
+  /// schedule lie.
   void register_point(const std::string& name, FaultPoint& point);
 
   [[nodiscard]] bool has_target(const std::string& name) const {
-    return links_.count(name) != 0 || points_.count(name) != 0;
+    return points_.count(name) != 0;
   }
 
-  /// Every registered target name, in deterministic sorted order
-  /// (links and points merged — the registration guard keeps the two
-  /// namespaces disjoint, so a plain merge cannot duplicate). Chaos
-  /// schedules over auto-registered topologies draw from this instead
-  /// of hard-coding names.
+  /// Every registered target name, in deterministic sorted order.
+  /// Chaos schedules over auto-registered topologies draw from this
+  /// instead of hard-coding names.
   [[nodiscard]] std::vector<std::string> target_names() const {
     std::vector<std::string> names;
-    names.reserve(links_.size() + points_.size());
-    for (const auto& [name, channels] : links_) names.push_back(name);
+    names.reserve(points_.size());
     for (const auto& [name, points] : points_) names.push_back(name);
-    std::sort(names.begin(), names.end());
     return names;
   }
 
@@ -161,7 +141,6 @@ class FaultInjector {
   void apply(const FaultEvent& event);
 
   Engine& engine_;
-  std::map<std::string, std::vector<Channel*>> links_;
   std::map<std::string, std::vector<FaultPoint*>> points_;
   Stats stats_;
 };

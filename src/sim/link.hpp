@@ -19,6 +19,7 @@
 
 #include "net/packet.hpp"
 #include "sim/event.hpp"
+#include "sim/faults.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
 
@@ -34,7 +35,7 @@ struct LinkSpec {
   }
 };
 
-class Channel {
+class Channel : public FaultPoint {
  public:
   Channel(Engine& engine, LinkSpec spec, std::string label);
 
@@ -60,6 +61,7 @@ class Channel {
     if (state_observer_) state_observer_(up);
   }
   [[nodiscard]] bool is_up() const { return up_; }
+  void fault_set_up(bool up) override { set_up(up); }
 
   /// Observe up/down transitions (at most one observer; Network wires
   /// it to both endpoint nodes' on_port_link).

@@ -10,9 +10,8 @@
 //   * Fcfs       — global arrival order across all queues. Bit-exact
 //                  with the pre-refactor shared FIFO; the ablation
 //                  baseline (and what an unscheduled datapath does).
-//   * RoundRobin — packet-quantum sweep: up to `rr_quantum_packets`
-//                  per non-empty queue per visit, cursor persists
-//                  across bursts.
+//   * RoundRobin — packet sweep: one packet per non-empty queue per
+//                  visit, cursor persists across bursts.
 //   * Drr        — deficit round-robin (Shreedhar & Varghese): each
 //                  visited queue banks `drr_quantum_bytes` of credit
 //                  and sends while its head frame fits; byte-fair
@@ -63,13 +62,11 @@ class RxQueue {
       : in_port_(other.in_port_),
         items_(std::move(other.items_)),
         drops_(other.drops_),
-        enqueued_(other.enqueued_),
         peak_depth_(other.peak_depth_) {}
   RxQueue& operator=(RxQueue&& other) noexcept {
     in_port_ = other.in_port_;
     items_ = std::move(other.items_);
     drops_ = other.drops_;
-    enqueued_ = other.enqueued_;
     peak_depth_ = other.peak_depth_;
     return *this;
   }
@@ -81,7 +78,6 @@ class RxQueue {
 
   void push(std::uint64_t seq, net::Packet&& packet) {
     items_.push_back(Item{seq, std::move(packet)});
-    ++enqueued_;
     if (items_.size() > peak_depth_) peak_depth_ = items_.size();
   }
   net::Packet pop() {
@@ -94,7 +90,6 @@ class RxQueue {
   /// Tail drops charged to this port (per-port bound or the shared
   /// bound — either way the arriving port pays).
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
-  [[nodiscard]] std::uint64_t enqueued() const { return enqueued_; }
   /// High-water mark of the queue depth over the run.
   [[nodiscard]] std::size_t peak_depth() const { return peak_depth_; }
 
@@ -102,7 +97,6 @@ class RxQueue {
   int in_port_;
   std::deque<Item> items_;
   std::uint64_t drops_ = 0;
-  std::uint64_t enqueued_ = 0;
   std::size_t peak_depth_ = 0;
 };
 
@@ -118,8 +112,6 @@ enum class SchedulerKind : std::uint8_t { kFcfs, kRoundRobin, kDrr };
 /// a live object with make_scheduler().
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kFcfs;
-  /// RoundRobin: packets granted per queue visit.
-  std::size_t rr_quantum_packets = 1;
   /// Drr: bytes of credit banked per queue visit (one MTU by default,
   /// the classic choice — one full-size frame per round).
   std::size_t drr_quantum_bytes = 1500;
@@ -235,16 +227,13 @@ class FcfsScheduler final : public BurstScheduler {
   std::vector<RxQueue*> backlogged_;  // reused scratch, cleared per burst
 };
 
-/// Packet-quantum sweep with a cursor that persists across bursts.
+/// One-packet-per-visit sweep with a cursor that persists across bursts.
 class RoundRobinScheduler final : public BurstScheduler {
  public:
-  explicit RoundRobinScheduler(std::size_t quantum_packets = 1)
-      : quantum_(quantum_packets == 0 ? 1 : quantum_packets) {}
   [[nodiscard]] const char* name() const override { return "rr"; }
   void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget, Burst& out) override;
 
  private:
-  std::size_t quantum_;
   std::size_t cursor_ = 0;
 };
 

@@ -22,8 +22,8 @@
 //     at expiry.
 //
 // The witness is a FaultPoint like everything else, and each client
-// talks to it over a WitnessLink — a private request/response wire with
-// its own rtt and up/down state — so the chaos suite can partition
+// talks to it over a WitnessLink — a private request/response sim::Wire
+// with its own rtt and up/down state — so the chaos suite can partition
 // active-witness, standby-witness, or both, independently of the
 // replication channel.
 #pragma once
@@ -34,6 +34,7 @@
 #include "sim/event.hpp"
 #include "sim/faults.hpp"
 #include "sim/time.hpp"
+#include "sim/wire.hpp"
 
 namespace harmless::sim {
 
@@ -92,23 +93,20 @@ class Witness : public FaultPoint {
 /// One client's wire to the witness: request/response with rtt, failable
 /// independently per client (partition just the active's view, or just
 /// the standby's). Requests and responses in flight across a down
-/// transition are lost, like every other channel here.
-class WitnessLink : public FaultPoint {
+/// transition are lost, like every other channel here. It is never
+/// impaired (no loss or jitter), so its wire's Rng is never drawn.
+class WitnessLink : public Wire {
  public:
   using GrantHandler = std::function<void(bool granted, std::uint64_t epoch,
                                           SimNanos expires_at)>;
 
   WitnessLink(Engine& engine, Witness& witness, std::uint64_t client_id)
-      : engine_(engine), witness_(witness), client_id_(client_id) {}
+      : Wire(engine, /*seed=*/client_id), witness_(witness), client_id_(client_id) {}
 
   /// Fire a lease request; `handler` runs one rtt later with the
   /// witness's decision (or never, if either direction drops or the
   /// witness is down at arrival time).
   void request_lease(GrantHandler handler);
-
-  void set_up(bool up) { up_ = up; }
-  [[nodiscard]] bool is_up() const { return up_; }
-  void fault_set_up(bool up) override { up_ = up; }
 
   [[nodiscard]] Witness& witness() { return witness_; }
   [[nodiscard]] const WitnessSpec& spec() const { return witness_.spec(); }
@@ -116,7 +114,7 @@ class WitnessLink : public FaultPoint {
 
   struct Stats {
     std::uint64_t requests_sent = 0;
-    std::uint64_t requests_dropped = 0;   // link down at send or arrival
+    std::uint64_t requests_dropped = 0;   // link down at send or arrival, or witness crashed
     std::uint64_t responses_dropped = 0;  // link down on the way back
     std::uint64_t granted = 0;
     std::uint64_t denied = 0;
@@ -124,10 +122,8 @@ class WitnessLink : public FaultPoint {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  Engine& engine_;
   Witness& witness_;
   std::uint64_t client_id_;
-  bool up_ = true;
   Stats stats_;
 };
 

@@ -2,33 +2,6 @@
 
 namespace harmless::softswitch {
 
-template <typename Deliver>
-void ReplicationChannel::send(std::uint64_t& dropped_down, std::uint64_t& dropped_loss,
-                              Deliver deliver) {
-  if (!up_) {
-    ++dropped_down;
-    return;
-  }
-  // Loss is drawn before jitter, and jitter only for survivors: the
-  // seeded stream depends on that order.
-  if (spec_.loss > 0.0 && rng_.chance(spec_.loss)) {
-    ++dropped_loss;
-    return;
-  }
-  sim::SimNanos delay = spec_.latency_ns;
-  if (spec_.jitter_ns > 0) {
-    delay += static_cast<sim::SimNanos>(
-        rng_.below(static_cast<std::uint64_t>(spec_.jitter_ns) + 1));
-  }
-  engine_.schedule_after(delay, [this, &dropped_down, deliver = std::move(deliver)] {
-    if (!up_) {
-      ++dropped_down;  // in flight when the partition hit
-      return;
-    }
-    deliver();
-  });
-}
-
 void ReplicationChannel::publish(std::size_t shard, const openflow::CtDelta& delta) {
   ++stats_.deltas_published;
   pending_.push_back(ReplicationRecord{shard, delta});
@@ -50,7 +23,7 @@ void ReplicationChannel::flush() {
   std::vector<ReplicationRecord> batch;
   batch.swap(pending_);
   ++stats_.batches_sent;
-  send(stats_.batches_dropped_down, stats_.batches_dropped_loss,
+  send(engine_.now(), spec_.latency_ns, stats_.batches_dropped_down, stats_.batches_dropped_loss,
        [this, batch = std::move(batch)] {
          ++stats_.batches_delivered;
          if (!delta_handler_) return;
@@ -63,10 +36,11 @@ void ReplicationChannel::flush() {
 
 void ReplicationChannel::publish_heartbeat(std::uint64_t epoch) {
   ++stats_.heartbeats_sent;
-  send(stats_.heartbeats_dropped_down, stats_.heartbeats_dropped_loss, [this, epoch] {
-    ++stats_.heartbeats_delivered;
-    if (heartbeat_handler_) heartbeat_handler_(epoch);
-  });
+  send(engine_.now(), spec_.latency_ns, stats_.heartbeats_dropped_down,
+       stats_.heartbeats_dropped_loss, [this, epoch] {
+         ++stats_.heartbeats_delivered;
+         if (heartbeat_handler_) heartbeat_handler_(epoch);
+       });
 }
 
 void ReplicationChannel::publish_snapshot(std::size_t shard, openflow::CtSnapshot snapshot,
@@ -74,7 +48,7 @@ void ReplicationChannel::publish_snapshot(std::size_t shard, openflow::CtSnapsho
   ++stats_.snapshots_sent;
   // State-stream traffic: drops share the batch buckets, unlike
   // heartbeats — a lost snapshot *is* lost state.
-  send(stats_.batches_dropped_down, stats_.batches_dropped_loss,
+  send(engine_.now(), spec_.latency_ns, stats_.batches_dropped_down, stats_.batches_dropped_loss,
        [this, shard, epoch, snapshot = std::move(snapshot)] {
          ++stats_.snapshots_delivered;
          stats_.snapshot_bytes += snapshot.wire_bytes();
@@ -84,10 +58,11 @@ void ReplicationChannel::publish_snapshot(std::size_t shard, openflow::CtSnapsho
 
 void ReplicationChannel::publish_sync_request() {
   ++stats_.sync_requests_sent;
-  send(stats_.batches_dropped_down, stats_.batches_dropped_loss, [this] {
-    ++stats_.sync_requests_delivered;
-    if (sync_request_handler_) sync_request_handler_();
-  });
+  send(engine_.now(), spec_.latency_ns, stats_.batches_dropped_down, stats_.batches_dropped_loss,
+       [this] {
+         ++stats_.sync_requests_delivered;
+         if (sync_request_handler_) sync_request_handler_();
+       });
 }
 
 }  // namespace harmless::softswitch

@@ -5,13 +5,14 @@
 // (commit / established / closing / close — see CtDelta) into a
 // ReplicationChannel; the standby peer applies them to its own shards
 // so an established connection survives a takeover with its NAT
-// binding intact. The channel is deliberately shaped like the control
-// channel (PR 7): batched + paced departures model the sync TCP
-// session's serialization, per-batch loss and latency jitter come from
-// a seeded util::Rng, and the whole thing is a sim::FaultPoint so a
-// FaultPlan can partition or impair replication independently of the
-// data and control planes. With no impairment configured the Rng is
-// never consulted — a pristine channel replays byte-identically.
+// binding intact. The channel is a sim::Wire like the control channel
+// (PR 7): batched + paced departures model the sync TCP session's
+// serialization, per-batch loss and latency jitter come from the
+// wire's seeded util::Rng (seed and starting impairment from
+// ReplicationSpec), and a FaultPlan can partition replication
+// independently of the data and control planes. With no impairment
+// configured the Rng is never consulted — a pristine channel replays
+// byte-identically.
 //
 // Liveness rides the same pipe: the active publishes heartbeats on a
 // timer (paused while it is crashed), and the standby's monitor trips
@@ -27,8 +28,7 @@
 
 #include "openflow/conntrack.hpp"
 #include "sim/event.hpp"
-#include "sim/faults.hpp"
-#include "util/rng.hpp"
+#include "sim/wire.hpp"
 
 namespace harmless::softswitch {
 
@@ -50,10 +50,10 @@ struct ReplicationRecord {
   openflow::CtDelta delta;
 };
 
-class ReplicationChannel : public sim::FaultPoint {
+class ReplicationChannel : public sim::Wire {
  public:
   ReplicationChannel(sim::Engine& engine, ReplicationSpec spec = {})
-      : engine_(engine), spec_(spec), rng_(spec.seed) {}
+      : Wire(engine, spec.seed, sim::WireImpairment{spec.loss, spec.jitter_ns}), spec_(spec) {}
 
   // ---- active side ----
   /// Queue one delta; it departs with the current batch (after at most
@@ -90,20 +90,6 @@ class ReplicationChannel : public sim::FaultPoint {
     sync_request_handler_ = std::move(handler);
   }
 
-  // ---- failure semantics ----
-  /// Partition / heal the sync session. Downing loses queued and
-  /// in-flight batches at their delivery time, like the control channel.
-  void set_up(bool up) { up_ = up; }
-  [[nodiscard]] bool is_up() const { return up_; }
-  void set_loss(double loss) { spec_.loss = loss; }
-
-  // sim::FaultPoint: partition and impairment via the injector.
-  void fault_set_up(bool up) override { set_up(up); }
-  void fault_impair(double loss_probability, sim::SimNanos extra_latency_ns) override {
-    spec_.loss = loss_probability;
-    spec_.jitter_ns = extra_latency_ns;
-  }
-
   struct Stats {
     std::uint64_t deltas_published = 0;
     std::uint64_t deltas_delivered = 0;
@@ -126,22 +112,19 @@ class ReplicationChannel : public sim::FaultPoint {
     std::uint64_t snapshot_bytes = 0;  // wire bytes of delivered snapshots
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const ReplicationSpec& spec() const { return spec_; }
+  // The liveness timing the peers' heartbeat and monitor timers read.
+  [[nodiscard]] sim::SimNanos heartbeat_interval_ns() const { return spec_.heartbeat_interval_ns; }
+  [[nodiscard]] std::uint32_t takeover_miss_threshold() const {
+    return spec_.takeover_miss_threshold;
+  }
+
+  /// Replace the starting impairment taken from ReplicationSpec.
+  using sim::Wire::set_impairment;
 
  private:
   void flush();
-  /// The one send path every message kind takes: a message dies at
-  /// departure if the session is down or the loss draw takes it,
-  /// otherwise it arrives latency + a jitter draw later and is handed
-  /// to `deliver` unless the session went down in flight. Drops are
-  /// counted in `dropped_down` / `dropped_loss`.
-  template <typename Deliver>
-  void send(std::uint64_t& dropped_down, std::uint64_t& dropped_loss, Deliver deliver);
 
-  sim::Engine& engine_;
   ReplicationSpec spec_;
-  util::Rng rng_;
-  bool up_ = true;
   bool flush_scheduled_ = false;
   std::vector<ReplicationRecord> pending_;
   std::function<void(const ReplicationRecord&)> delta_handler_;

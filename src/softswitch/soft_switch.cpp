@@ -504,7 +504,7 @@ void SoftSwitch::enable_ha_active(ReplicationChannel& channel, ReplicationChanne
 
 void SoftSwitch::schedule_ha_heartbeat() {
   if (repl_out_ == nullptr) return;
-  arm(ha_heartbeat_armed_, repl_out_->spec().heartbeat_interval_ns, [this] {
+  arm(ha_heartbeat_armed_, repl_out_->heartbeat_interval_ns(), [this] {
     // A crashed or fenced active is silent — silence *is* the takeover
     // signal, and a fenced box advertising liveness would stall a
     // standby that could otherwise win the lease and serve. The timer
@@ -537,9 +537,8 @@ void SoftSwitch::set_ha_witness(sim::WitnessLink& link) {
 
 void SoftSwitch::schedule_ha_monitor() {
   if (repl_in_ == nullptr || ha_role_ != HaRole::kStandby) return;
-  arm(ha_monitor_armed_, repl_in_->spec().heartbeat_interval_ns, [this] {
+  arm(ha_monitor_armed_, repl_in_->heartbeat_interval_ns(), [this] {
     if (ha_role_ != HaRole::kStandby) return;  // promotion stops the monitor
-    const ReplicationSpec& spec = repl_in_->spec();
     // A demoted ex-active still begging for its warm resync retries
     // here (the first sync request may have died on the wire).
     if (ha_failback_pending_ && !restarting_ && repl_out_ != nullptr)
@@ -550,8 +549,8 @@ void SoftSwitch::schedule_ha_monitor() {
     // promotion is the operator's call, not the monitor's).
     if (!restarting_ && last_ha_heartbeat_ &&
         engine_.now() - *last_ha_heartbeat_ >
-            static_cast<sim::SimNanos>(spec.takeover_miss_threshold) *
-                spec.heartbeat_interval_ns) {
+            static_cast<sim::SimNanos>(repl_in_->takeover_miss_threshold()) *
+                repl_in_->heartbeat_interval_ns()) {
       ha_request_promotion();
       // Keep monitoring: with a witness the promotion is asynchronous
       // (and may be denied); the role flip stops the re-arm naturally.

@@ -287,11 +287,11 @@ TEST(ControlChannelFailable, AttributesEveryLoss) {
   channel.set_up(true);
 
   // Random loss draws only when impaired.
-  channel.set_impairment({}, openflow::ChannelImpairment{1.0, 0});
+  channel.set_impairment({1.0, 0});
   for (int i = 0; i < 5; ++i) channel.send_to_switch(openflow::HelloMsg{});
   engine.run();
   EXPECT_EQ(channel.to_switch().dropped_loss, 5u);
-  channel.set_impairment({}, {});
+  channel.set_impairment({});
 
   channel.send_to_switch(openflow::HelloMsg{});
   engine.run();
@@ -564,11 +564,11 @@ TEST(ReplicationChannelFailable, AttributesEveryLoss) {
   repl.set_up(true);
 
   // Impairment loss draws only when configured.
-  repl.set_loss(1.0);
+  repl.set_impairment({1.0, 0});
   for (int i = 0; i < 5; ++i) repl.publish(0, delta);
   engine.run();
   EXPECT_EQ(repl.stats().batches_dropped_loss, 5u);
-  repl.set_loss(0.0);
+  repl.set_impairment({});
 
   repl.publish(0, delta);
   engine.run();
@@ -596,11 +596,11 @@ TEST(ReplicationChannelFailable, AttributesEveryLoss) {
   EXPECT_EQ(stats.heartbeats_dropped_down, 2u);
   repl.set_up(true);
 
-  repl.set_loss(1.0);
+  repl.set_impairment({1.0, 0});
   repl.publish_heartbeat();
   engine.run();
   EXPECT_EQ(stats.heartbeats_dropped_loss, 1u);
-  repl.set_loss(0.0);
+  repl.set_impairment({});
 
   // Heartbeat losses never leaked into the batch buckets, and both
   // streams conserve independently.
@@ -721,6 +721,74 @@ TEST(ReplicationChannelFailable, SeededLossAndJitterStreamPinned) {
 }
 
 // ---- split-brain-safe HA: witness leases, fencing, failback (PR 10) ----
+
+// One client's witness wire through every way a lease request can end:
+// a denial (another client holds the lease), a grant, the link down at
+// send, the link downed with the request in flight, the witness crashed
+// at the request's arrival, and the link downed between the witness's
+// decision and the response. Each loss lands in the bucket of the leg
+// it hit, and every answer arrives exactly one round trip after its
+// request (both legs clamp to 1 ns, so rtt 1 ns answers after 2 ns).
+TEST(WitnessLinkFailable, DropsAttributedPerLeg) {
+  sim::Engine engine;
+  sim::WitnessSpec spec;
+  spec.rtt_ns = 1;
+  sim::Witness witness(spec);
+  sim::WitnessLink link(engine, witness, 0xA1);
+
+  std::vector<bool> answers;
+  const auto request = [&] {
+    const sim::SimNanos sent = engine.now();
+    link.request_lease([&, sent](bool granted, std::uint64_t, sim::SimNanos) {
+      EXPECT_EQ(engine.now() - sent, 2);
+      answers.push_back(granted);
+    });
+  };
+
+  // Another client holds the lease: denied.
+  (void)witness.decide(0xB0, engine.now());
+  request();
+  engine.run();
+  // Past that lease's expiry: granted.
+  engine.run_until(spec.lease_validity_ns + 1);
+  request();
+  engine.run();
+  ASSERT_EQ(answers, (std::vector<bool>{false, true}));
+
+  // Down at send.
+  link.set_up(false);
+  request();
+  engine.run();
+  link.set_up(true);
+
+  // Downed with the request in flight.
+  request();
+  link.set_up(false);
+  engine.run();
+  link.set_up(true);
+
+  // Witness crashed when the request arrives.
+  witness.fault_crash();
+  request();
+  engine.run();
+  witness.fault_restart();
+
+  // Downed after the decision, before the response lands: the witness
+  // renewed the lease, the client never learns it.
+  request();
+  engine.schedule_after(1, [&] { link.set_up(false); });
+  engine.run();
+  link.set_up(true);
+  EXPECT_EQ(witness.stats().renewals, 1u);
+
+  EXPECT_EQ(answers.size(), 2u);
+  const auto& stats = link.stats();
+  EXPECT_EQ(stats.requests_sent, 6u);
+  EXPECT_EQ(stats.requests_dropped, 3u);
+  EXPECT_EQ(stats.responses_dropped, 1u);
+  EXPECT_EQ(stats.granted, 1u);
+  EXPECT_EQ(stats.denied, 1u);
+}
 
 /// SNAT gateway rule set (the conntrack_datapath idiom): outbound TCP
 /// is source-translated and committed, reverse traffic follows the
