@@ -76,9 +76,9 @@ std::uint64_t ConnTracker::classify(const CtTuple& tuple, std::uint8_t tcp_flags
                                     sim::SimNanos now) {
   ++stats_.lookups;
   for (const bool reply_dir : {false, true}) {
-    const auto& map = reply_dir ? reply_map_ : orig_map_;
-    if (auto it = map.find(tuple); it != map.end()) {
-      const Slot& slot = slots_[it->second];
+    auto& map = reply_dir ? reply_map_ : orig_map_;
+    if (const std::uint32_t* id = map.find(tuple)) {
+      const Slot& slot = slots_[*id];
       if (slot.entry.expires_at > now) {
         ++stats_.hits;
         return classify_entry(slot, reply_dir);
@@ -156,8 +156,8 @@ std::uint32_t ConnTracker::insert(const ConnEntry& entry) {
   Slot& slot = slots_[id];
   slot.entry = entry;
   slot.live = true;
-  orig_map_.emplace(entry.orig, id);
-  reply_map_.emplace(entry.reply, id);
+  orig_map_.insert_or_assign(entry.orig, id);
+  reply_map_.insert_or_assign(entry.reply, id);
   lru_push_front(id);
   file_deadline(id, slot);
   dirty_ = true;
@@ -269,10 +269,10 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
   // has not reaped it yet — identical behavior to the classifier
   // prelude, which already treats it as missing.
   for (const bool reply_dir : {false, true}) {
-    const auto& map = reply_dir ? reply_map_ : orig_map_;
-    const auto it = map.find(tuple);
-    if (it == map.end()) continue;
-    const std::uint32_t id = it->second;
+    auto& map = reply_dir ? reply_map_ : orig_map_;
+    const std::uint32_t* found = map.find(tuple);
+    if (found == nullptr) continue;
+    const std::uint32_t id = *found;
     Slot& slot = slots_[id];
     if (slot.entry.expires_at <= now) {
       kill(id, now);
@@ -556,18 +556,19 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
 void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
   ++stats_.deltas_applied;
   const CtSnapshotEntry& e = delta.entry;
-  const auto it = orig_map_.find(e.orig);
+  const std::uint32_t* found = orig_map_.find(e.orig);
+  const std::uint32_t id = found != nullptr ? *found : kNil;
 
   if (delta.kind == CtDelta::Kind::kClose) {
-    if (it != orig_map_.end() && slots_[it->second].entry.reply == e.reply) kill(it->second, now);
+    if (id != kNil && slots_[id].entry.reply == e.reply) kill(id, now);
     return;
   }
 
-  if (it != orig_map_.end()) {
+  if (id != kNil) {
     // In-place advance of a connection we already mirror. A reply-tuple
     // mismatch means a different connection owns the key: drop rather
     // than corrupt the reverse map.
-    if (slots_[it->second].entry.reply == e.reply) overwrite(it->second, e, now);
+    if (slots_[id].entry.reply == e.reply) overwrite(id, e, now);
     return;
   }
 
@@ -605,17 +606,17 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     // role/fence-gated, so a resyncing box never echoes these out.)
     for (const CtTuple* t : {&e.orig, &e.reply}) {
       for (auto* map : {&orig_map_, &reply_map_}) {
-        if (auto it = map->find(*t); it != map->end()) {
-          const ConnEntry& local = slots_[it->second].entry;
-          if (!(local.orig == e.orig && local.reply == e.reply)) kill(it->second, now);
+        if (const std::uint32_t* id = map->find(*t)) {
+          const ConnEntry& local = slots_[*id].entry;
+          if (!(local.orig == e.orig && local.reply == e.reply)) kill(*id, now);
         }
       }
     }
 
-    if (auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
+    if (const std::uint32_t* id = orig_map_.find(e.orig)) {
       // Same connection survives locally: take the active's view.
-      overwrite(it->second, e, now);
-      covered.insert(it->second);
+      overwrite(*id, e, now);
+      covered.insert(*id);
     } else {
       make_room(now);
       covered.insert(insert(from_wire(e, now)));  // confirmed: streamed by the live active

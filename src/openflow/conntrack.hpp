@@ -43,12 +43,12 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "openflow/action.hpp"
 #include "sim/time.hpp"
 #include "util/hash.hpp"
+#include "util/id_map.hpp"
 
 namespace harmless::openflow {
 
@@ -75,8 +75,10 @@ struct CtTuple {
   friend bool operator==(const CtTuple&, const CtTuple&) = default;
 };
 
+/// Flat-map hasher: key_hash() finished with IdHash's multiply, so the
+/// top bits the map indexes with are well mixed.
 struct CtTupleHash {
-  std::size_t operator()(const CtTuple& t) const { return static_cast<std::size_t>(t.key_hash()); }
+  std::uint64_t operator()(const CtTuple& t) const { return util::IdHash{}(t.key_hash()); }
 };
 
 /// Per-shard tunables (EXPERIMENTS.md "Conntrack knobs").
@@ -363,8 +365,12 @@ class ConnTracker {
   std::size_t steer_shards_ = 1;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<CtTuple, std::uint32_t, CtTupleHash> orig_map_;
-  std::unordered_map<CtTuple, std::uint32_t, CtTupleHash> reply_map_;
+  /// Tuple -> slot id, one map per direction: flat open-addressing
+  /// tables, so a commit or kill allocates nothing. Nothing iterates
+  /// them (snapshot, checkpoint and demote_all walk slots_), so their
+  /// slot order cannot leak into any output.
+  util::IdMap<CtTuple, std::uint32_t, CtTupleHash> orig_map_;
+  util::IdMap<CtTuple, std::uint32_t, CtTupleHash> reply_map_;
   /// Coarse timer wheel: deadline bucket -> (slot id, generation).
   /// Buckets are swept lazily; a refreshed entry is re-filed when its
   /// stale bucket comes due.

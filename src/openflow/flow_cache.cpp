@@ -50,7 +50,7 @@ MegaflowEntry* FlowCache::find(const FieldView& view, sim::SimNanos now,
   // entries once, so the tier-2 probe never walks (or charges for)
   // stale candidates.
   if (purged_epoch_ != *epoch_) purge_stale();
-  if (megaflows_.empty()) {
+  if (megaflow_count_ == 0) {
     if (count_miss) ++stats_.misses;
     return nullptr;
   }
@@ -105,9 +105,10 @@ MegaflowEntry* FlowCache::find_subtables(const FieldView& view, sim::SimNanos no
     if ((view.present & subtable.required_absent) != 0) continue;
     if (scanned != nullptr) ++*scanned;
     ++stats_.subtable_probes;
-    const auto bucket = subtable.buckets.find(subtable.hash_view(view));
-    if (bucket == subtable.buckets.end()) continue;
-    for (MegaflowEntry* candidate : bucket->second) {
+    MegaflowEntry** head = subtable.buckets.find(subtable.hash_view(view));
+    if (head == nullptr) continue;
+    for (MegaflowEntry* candidate = *head; candidate != nullptr;
+         candidate = candidate->bucket_next) {
       if (!candidate->covers(view)) continue;  // same-hash collision
       // A covering entry with timed-out flow references must not hit:
       // the slow path has to run so the table performs its lazy expiry
@@ -131,12 +132,13 @@ MegaflowEntry* FlowCache::find_linear(const FieldView& view, sim::SimNanos now,
                                       std::uint64_t key, std::uint32_t* scanned) {
   // The pre-classifier reference: one masked compare per resident
   // megaflow, insertion order — the ablation baseline Table 6 degrades.
-  for (const auto& candidate : megaflows_) {
+  for (MegaflowEntry* candidate = oldest_.get(); candidate != nullptr;
+       candidate = candidate->clock_next.get()) {
     if (scanned != nullptr) ++*scanned;
     if (candidate->epoch != *epoch_) continue;  // stale; reaped on next purge
     if (!candidate->covers(view)) continue;
     if (candidate->timed_out(now)) return nullptr;
-    return tier2_hit(candidate.get(), key);
+    return tier2_hit(candidate, key);
   }
   return nullptr;
 }
@@ -165,19 +167,28 @@ void FlowCache::index_entry(MegaflowEntry* entry) {
   masked.present = entry->required_present;
   entry->subtable = home;
   entry->subtable_hash = home->hash_view(masked);
-  home->buckets[entry->subtable_hash].push_back(entry);
+  entry->bucket_next = nullptr;
+  // Append at the chain's tail: a bucket keeps insertion order.
+  if (MegaflowEntry** head = home->buckets.find(entry->subtable_hash)) {
+    MegaflowEntry* tail = *head;
+    while (tail->bucket_next != nullptr) tail = tail->bucket_next;
+    tail->bucket_next = entry;
+  } else {
+    home->buckets.insert_or_assign(entry->subtable_hash, entry);
+  }
   ++home->entry_count;
 }
 
 void FlowCache::unindex_entry(MegaflowEntry* entry) {
   MegaflowSubtable* home = entry->subtable;
   if (home == nullptr) return;
-  const auto bucket = home->buckets.find(entry->subtable_hash);
-  if (bucket != home->buckets.end()) {
-    std::erase(bucket->second, entry);
-    if (bucket->second.empty()) home->buckets.erase(bucket);
-  }
+  MegaflowEntry** head = home->buckets.find(entry->subtable_hash);
+  MegaflowEntry** link = head;
+  while (*link != entry) link = &(*link)->bucket_next;
+  *link = entry->bucket_next;
+  if (*head == nullptr) home->buckets.erase(entry->subtable_hash);
   entry->subtable = nullptr;
+  entry->bucket_next = nullptr;
   if (--home->entry_count == 0)
     std::erase_if(subtables_,
                   [home](const std::unique_ptr<MegaflowSubtable>& subtable) {
@@ -206,40 +217,52 @@ void FlowCache::note_microflow_key(MegaflowEntry& entry, std::uint64_t key) {
 void FlowCache::purge_stale() {
   purged_epoch_ = *epoch_;
   bool any_stale = false;
-  for (const auto& entry : megaflows_)
-    if (entry->epoch != *epoch_) {
-      any_stale = true;
-      break;
-    }
+  for (const MegaflowEntry* entry = oldest_.get(); entry != nullptr && !any_stale;
+       entry = entry->clock_next.get())
+    any_stale = entry->epoch != *epoch_;
   if (!any_stale) return;
-  std::erase_if(megaflows_, [this](const std::unique_ptr<MegaflowEntry>& entry) {
-    if (entry->epoch == *epoch_) return false;
-    ++stats_.invalidations;
-    return true;
-  });
+  // Reap oldest first; the survivors keep their order.
+  for (MegaflowEntry* entry = oldest_.get(); entry != nullptr;) {
+    MegaflowEntry* next = entry->clock_next.get();
+    if (entry->epoch != *epoch_) {
+      ++stats_.invalidations;
+      unlink(entry);
+    }
+    entry = next;
+  }
   // Rebuild the classifier from the survivors (in practice an epoch
   // bump stales everything, so this clears it). Subtable ranks reset
   // with it — the cache is cold again anyway.
   subtables_.clear();
-  for (const auto& entry : megaflows_) {
+  for (MegaflowEntry* entry = oldest_.get(); entry != nullptr;
+       entry = entry->clock_next.get()) {
     entry->subtable = nullptr;
-    index_entry(entry.get());
+    index_entry(entry);
   }
   // Microflow pointers may reference reaped entries; the tier re-learns
   // on the next packet of each microflow anyway.
   microflow_.clear();
-  clock_hand_ = 0;
+  clock_hand_ = oldest_.get();
+}
+
+void FlowCache::unlink(MegaflowEntry* entry) {
+  std::unique_ptr<MegaflowEntry>& owner =
+      entry->clock_prev != nullptr ? entry->clock_prev->clock_next : oldest_;
+  const std::unique_ptr<MegaflowEntry> doomed = std::move(owner);
+  owner = std::move(doomed->clock_next);
+  (owner != nullptr ? owner->clock_prev : newest_) = doomed->clock_prev;
+  --megaflow_count_;
 }
 
 void FlowCache::evict_one() {
   // Second chance: at most two sweeps — the first clears every set
   // reference bit, so the second is guaranteed to find a victim.
-  for (std::size_t step = 0; step < 2 * megaflows_.size(); ++step) {
-    if (clock_hand_ >= megaflows_.size()) clock_hand_ = 0;
-    MegaflowEntry* candidate = megaflows_[clock_hand_].get();
+  for (std::size_t step = 0; step < 2 * megaflow_count_; ++step) {
+    if (clock_hand_ == nullptr) clock_hand_ = oldest_.get();
+    MegaflowEntry* candidate = clock_hand_;
+    clock_hand_ = candidate->clock_next.get();
     if (candidate->referenced) {
       candidate->referenced = false;
-      ++clock_hand_;
       continue;
     }
     // Unmap the victim's own microflow pointers before it is freed
@@ -249,8 +272,7 @@ void FlowCache::evict_one() {
       if (slot != nullptr && *slot == candidate) microflow_.erase(key);
     }
     unindex_entry(candidate);
-    megaflows_.erase(megaflows_.begin() +
-                     static_cast<std::ptrdiff_t>(clock_hand_));
+    unlink(candidate);
     ++stats_.evictions;
     return;
   }
@@ -258,21 +280,29 @@ void FlowCache::evict_one() {
 
 MegaflowEntry* FlowCache::insert(MegaflowEntry entry, const FieldView& view) {
   if (purged_epoch_ != *epoch_) purge_stale();
-  if (megaflows_.size() >= limits_.max_megaflows) {
+  if (megaflow_count_ >= limits_.max_megaflows) {
     // CLOCK eviction keeps hot aggregates (elephants) resident where
     // the old wholesale flush would have cold-started everything.
     evict_one();
   }
   if (microflow_.size() >= limits_.max_microflows) {
     // Only the exact-match tier is full (a long mice tail): resetting
-    // it is cheap — its entries point into megaflows_, which survives,
+    // it is cheap — its entries point into the megaflow tier, which survives,
     // so the hot aggregates keep hitting tier 2 and re-seed tier 1.
     microflow_.clear();
     ++stats_.flushes;
   }
   entry.epoch = *epoch_;
-  megaflows_.push_back(std::make_unique<MegaflowEntry>(std::move(entry)));
-  MegaflowEntry* inserted = megaflows_.back().get();
+  // Allocate after evicting: the new entry may take the victim's
+  // address, and Pipeline::run_burst_sequential counts replay groups
+  // by entry address, so this order is part of the billed cost.
+  auto owned = std::make_unique<MegaflowEntry>(std::move(entry));
+  MegaflowEntry* inserted = owned.get();
+  inserted->clock_prev = newest_;
+  (newest_ != nullptr ? newest_->clock_next : oldest_) = std::move(owned);
+  newest_ = inserted;
+  ++megaflow_count_;
+  if (clock_hand_ == nullptr) clock_hand_ = inserted;  // a parked hand adopts it
   index_entry(inserted);
   const std::uint64_t key = microflow_key(view);
   microflow_.insert_or_assign(key, inserted);
@@ -282,10 +312,14 @@ MegaflowEntry* FlowCache::insert(MegaflowEntry entry, const FieldView& view) {
 }
 
 void FlowCache::clear() {
-  megaflows_.clear();
+  // Free oldest first, one entry at a time (destroying oldest_ whole
+  // would recurse once per entry down the ownership chain).
+  while (oldest_ != nullptr) oldest_ = std::move(oldest_->clock_next);
+  newest_ = nullptr;
+  megaflow_count_ = 0;
   subtables_.clear();
   microflow_.clear();
-  clock_hand_ = 0;
+  clock_hand_ = nullptr;
 }
 
 }  // namespace harmless::openflow

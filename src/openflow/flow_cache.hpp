@@ -45,11 +45,25 @@
 // entry's reference bit, and an insert into a full tier sweeps the
 // clock hand, sparing referenced entries (clearing their bit) and
 // evicting the first unreferenced one — so elephant aggregates stay
-// resident while one-shot mice recycle. The hand sweeps insertion
-// order; eviction also unlinks the victim from its subtable (dropping
-// the subtable when it empties). Only the exact-match microflow tier
-// still resets wholesale when full; its entries are pointers into the
-// megaflow tier and re-seed on the next packet.
+// resident while one-shot mice recycle. Only the exact-match microflow
+// tier still resets wholesale when full; its entries are pointers into
+// the megaflow tier and re-seed on the next packet.
+//
+// Storage is intrusive, so churn (one eviction + one insert per
+// missed connection) is O(1) and allocates only the entry itself:
+//
+//  * Every megaflow is one heap object on a doubly linked list in
+//    insertion order. The list owns its entries — each through its
+//    predecessor's `clock_next` (the oldest through the cache) — so
+//    unlinking an entry frees it. The CLOCK hand is an entry pointer
+//    sweeping that order: past the newest entry it wraps to the oldest,
+//    and a hand parked past the newest adopts the next insert. Purge
+//    keeps the survivors in order and resets the hand to the oldest.
+//  * Each subtable maps a masked-key hash to the head of a chain of
+//    the entries sharing it, linked through `bucket_next` oldest
+//    first (new entries join the tail), in a flat util::IdMap.
+//    Eviction unlinks the victim from its chain and drops the subtable
+//    when it empties.
 #pragma once
 
 #include <cstdint>
@@ -104,10 +118,17 @@ struct MegaflowEntry {
   /// hovers just under a watermark.
   std::size_t microflow_compact_at = 64;
 
-  /// Classifier back-links: the subtable holding this entry and the
-  /// masked-key hash it is bucketed under (maintained by FlowCache).
+  /// Classifier back-links: the subtable holding this entry, the
+  /// masked-key hash it is bucketed under and the next (younger) entry
+  /// in that hash's chain (maintained by FlowCache).
   MegaflowSubtable* subtable = nullptr;
   std::uint64_t subtable_hash = 0;
+  MegaflowEntry* bucket_next = nullptr;
+
+  /// Insertion-order links (maintained by FlowCache, which owns the
+  /// oldest entry; every other entry is owned by its predecessor).
+  std::unique_ptr<MegaflowEntry> clock_next;
+  MegaflowEntry* clock_prev = nullptr;
 
   /// Key check: the packet agrees on every examined bit and presence.
   [[nodiscard]] bool covers(const FieldView& view) const;
@@ -130,7 +151,8 @@ struct MegaflowSubtable {
   /// formerly-hot mask cannot keep the front slot forever.
   std::uint64_t rank_hits = 0;
   std::size_t entry_count = 0;
-  std::unordered_map<std::uint64_t, std::vector<MegaflowEntry*>> buckets;
+  /// Masked-key hash -> oldest entry of the chain sharing it.
+  util::IdMap<std::uint64_t, MegaflowEntry*> buckets;
 
   /// True when `entry`'s key signature belongs in this subtable.
   [[nodiscard]] bool matches_signature(const MegaflowEntry& entry) const {
@@ -183,6 +205,7 @@ class FlowCache {
   /// a cache would leave epoch_ aimed at the moved-from object. Own
   /// caches in place (Pipeline holds its shards behind unique_ptr).
   FlowCache() = default;
+  ~FlowCache() { clear(); }
   FlowCache(const FlowCache&) = delete;
   FlowCache& operator=(const FlowCache&) = delete;
   FlowCache(FlowCache&&) = delete;
@@ -241,7 +264,10 @@ class FlowCache {
   void set_linear_scan(bool linear) { linear_scan_ = linear; }
   [[nodiscard]] bool linear_scan() const { return linear_scan_; }
 
-  [[nodiscard]] std::size_t megaflow_count() const { return megaflows_.size(); }
+  [[nodiscard]] std::size_t megaflow_count() const { return megaflow_count_; }
+  /// The oldest resident megaflow; follow `clock_next` for the rest in
+  /// insertion order (the order the CLOCK hand and linear scan sweep).
+  [[nodiscard]] const MegaflowEntry* oldest() const { return oldest_.get(); }
   [[nodiscard]] std::size_t microflow_count() const { return microflow_.size(); }
   /// Live per-mask subtables (== distinct megaflow mask signatures).
   [[nodiscard]] std::size_t subtable_count() const { return subtables_.size(); }
@@ -279,6 +305,9 @@ class FlowCache {
   /// pointers into it.
   void evict_one();
 
+  /// Take `entry` off the insertion-order list and free it.
+  void unlink(MegaflowEntry* entry);
+
   /// Link `entry` into the subtable matching its signature (creating
   /// one at the back of the probe order if needed).
   void index_entry(MegaflowEntry* entry);
@@ -294,14 +323,18 @@ class FlowCache {
   std::uint64_t own_epoch_ = 1;         // storage for a standalone cache
   std::uint64_t* epoch_ = &own_epoch_;  // the (possibly shared) live counter
   std::uint64_t purged_epoch_ = 1;      // epoch purge_stale last ran against
-  std::size_t clock_hand_ = 0;      // next megaflow the eviction sweep examines
   std::uint64_t tier2_lookups_ = 0; // drives the rank-decay cadence
   bool linear_scan_ = false;
-  std::vector<std::unique_ptr<MegaflowEntry>> megaflows_;  // insertion order
+  std::unique_ptr<MegaflowEntry> oldest_;  // head of the insertion-order list
+  MegaflowEntry* newest_ = nullptr;        // its tail
+  std::size_t megaflow_count_ = 0;
+  /// Next megaflow the eviction sweep examines; null = parked past the
+  /// newest entry (the next insert adopts it; a sweep wraps to oldest_).
+  MegaflowEntry* clock_hand_ = nullptr;
   /// The classifier, in probe order (kept sorted by decaying rank: a
   /// hit bubbles its subtable toward the front past colder neighbors).
   std::vector<std::unique_ptr<MegaflowSubtable>> subtables_;
-  util::IdMap<MegaflowEntry*> microflow_;
+  util::IdMap<std::uint64_t, MegaflowEntry*> microflow_;
   Limits limits_;
   Stats stats_;
 };

@@ -34,7 +34,7 @@ class LatencyRecorder {
   void clear();
 
  private:
-  util::IdMap<std::int64_t> in_flight_;
+  util::IdMap<std::uint64_t, std::int64_t> in_flight_;
   util::Histogram latency_ns_;
   util::Histogram processing_ns_;
   util::Histogram hops_;

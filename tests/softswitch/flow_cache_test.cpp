@@ -7,11 +7,16 @@
 // must each invalidate affected entries so the next packet re-learns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "net/build.hpp"
 #include "net/ethernet.hpp"
 #include "openflow/pipeline.hpp"
 #include "sim/network.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/rng.hpp"
 
 namespace harmless::softswitch {
 namespace {
@@ -453,6 +458,306 @@ TEST(FlowCache, ClockEvictionKeepsElephantsResident) {
   }
   EXPECT_EQ(elephant_misses, 0u);
   EXPECT_GT(pipeline.cache().stats().evictions, 0u);
+}
+
+// ------------------------------------------------ CLOCK reference model
+
+// Megaflow keys for the model test: one exact eth_dst per entry, in one
+// of three mask signatures (plain; + in_port; + vlan required absent),
+// so a view for `dst` is covered only by entries for `dst` and the
+// classifier holds up to three subtables with different presence rules.
+int signature(std::uint64_t dst) { return static_cast<int>(dst % 3); }
+
+MegaflowEntry megaflow_for(std::uint64_t dst) {
+  MegaflowEntry entry;
+  entry.required_present = field_bit(Field::kEthDst);
+  entry.masks[static_cast<std::size_t>(Field::kEthDst)] = field_all_ones(Field::kEthDst);
+  entry.values[static_cast<std::size_t>(Field::kEthDst)] = dst;
+  if (signature(dst) == 1) {
+    entry.required_present |= field_bit(Field::kInPort);
+    entry.masks[static_cast<std::size_t>(Field::kInPort)] = field_all_ones(Field::kInPort);
+    entry.values[static_cast<std::size_t>(Field::kInPort)] = 1;
+  } else if (signature(dst) == 2) {
+    entry.required_absent = field_bit(Field::kVlanVid);
+  }
+  return entry;
+}
+
+/// `flow` varies a field no megaflow examines: distinct microflows of
+/// one megaflow.
+FieldView model_view(std::uint64_t dst, std::uint64_t flow) {
+  FieldView view;
+  view.set(Field::kEthDst, dst);
+  view.set(Field::kL4Src, flow);
+  if (signature(dst) == 1) view.set(Field::kInPort, 1);
+  return view;
+}
+
+/// The megaflow tier as it was when it kept a vector in insertion order
+/// with an index CLOCK hand: erase at the hand, wrap at the end, a hand
+/// parked at the end adopts the next insert, purge resets the hand to
+/// the front. It also models the microflow tier and the subtables'
+/// rank order, so it predicts every hit, count and Stats field.
+class ReferenceCache {
+ public:
+  struct Entry {
+    std::uint64_t dst = 0;
+    std::uint64_t epoch = 0;
+    bool referenced = false;
+    MegaflowEntry* real = nullptr;  // the FlowCache entry it mirrors
+  };
+  struct Subtable {
+    int signature = 0;
+    std::uint64_t rank_hits = 0;
+    std::size_t entry_count = 0;
+  };
+
+  ReferenceCache(const FlowCache::Limits& limits, bool linear) : limits_(limits), linear_(linear) {}
+
+  MegaflowEntry* lookup(std::uint64_t dst, std::uint64_t flow, std::uint32_t* scanned) {
+    *scanned = 0;
+    if (purged_epoch_ != epoch_) purge();
+    if (entries_.empty()) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    const auto key = std::pair{dst, flow};
+    if (const auto it = microflow_.find(key); it != microflow_.end()) {
+      Entry& entry = entry_for(it->second);
+      ++stats_.hits;
+      ++stats_.microflow_hits;
+      entry.referenced = true;
+      return entry.real;
+    }
+    ++tier2_lookups_;
+    if (limits_.rank_decay_lookups != 0 && tier2_lookups_ % limits_.rank_decay_lookups == 0)
+      for (Subtable& subtable : subtables_) subtable.rank_hits /= 2;
+    Entry* hit = nullptr;
+    if (linear_) {
+      for (Entry& entry : entries_) {
+        ++*scanned;
+        if (entry.dst == dst) {
+          hit = &entry;
+          break;
+        }
+      }
+    } else {
+      for (std::size_t si = 0; si < subtables_.size() && hit == nullptr; ++si) {
+        if (subtables_[si].signature == 1 && signature(dst) != 1) continue;  // needs in_port
+        ++*scanned;
+        ++stats_.subtable_probes;
+        if (subtables_[si].signature != signature(dst)) continue;
+        const auto it = std::find_if(entries_.begin(), entries_.end(),
+                                     [dst](const Entry& entry) { return entry.dst == dst; });
+        if (it == entries_.end()) continue;
+        hit = &*it;  // the oldest duplicate heads its bucket
+        ++subtables_[si].rank_hits;
+        while (si > 0 && subtables_[si].rank_hits > subtables_[si - 1].rank_hits) {
+          std::swap(subtables_[si], subtables_[si - 1]);
+          --si;
+        }
+      }
+    }
+    if (hit == nullptr) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    if (microflow_.size() < limits_.max_microflows) microflow_[key] = hit->real;
+    ++stats_.hits;
+    ++stats_.megaflow_hits;
+    hit->referenced = true;
+    return hit->real;
+  }
+
+  void insert(std::uint64_t dst, std::uint64_t flow, MegaflowEntry* real) {
+    if (purged_epoch_ != epoch_) purge();
+    if (entries_.size() >= limits_.max_megaflows) evict_one();
+    if (microflow_.size() >= limits_.max_microflows) {
+      microflow_.clear();
+      ++stats_.flushes;
+    }
+    entries_.push_back(Entry{dst, epoch_, false, real});
+    index(dst);
+    microflow_[std::pair{dst, flow}] = real;
+    ++stats_.insertions;
+  }
+
+  void invalidate_all() { ++epoch_; }
+
+  void clear() {
+    entries_.clear();
+    subtables_.clear();
+    microflow_.clear();
+    hand_ = 0;
+  }
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  [[nodiscard]] std::size_t subtable_count() const { return subtables_.size(); }
+  [[nodiscard]] const FlowCache::Stats& stats() const { return stats_; }
+
+ private:
+  Entry& entry_for(const MegaflowEntry* real) {
+    return *std::find_if(entries_.begin(), entries_.end(),
+                         [real](const Entry& entry) { return entry.real == real; });
+  }
+
+  void index(std::uint64_t dst) {
+    for (Subtable& subtable : subtables_)
+      if (subtable.signature == signature(dst)) {
+        ++subtable.entry_count;
+        return;
+      }
+    subtables_.push_back(Subtable{signature(dst), 0, 1});
+  }
+
+  void purge() {
+    purged_epoch_ = epoch_;
+    if (std::none_of(entries_.begin(), entries_.end(),
+                     [this](const Entry& entry) { return entry.epoch != epoch_; }))
+      return;
+    std::erase_if(entries_, [this](const Entry& entry) {
+      if (entry.epoch == epoch_) return false;
+      ++stats_.invalidations;
+      return true;
+    });
+    subtables_.clear();
+    for (const Entry& entry : entries_) index(entry.dst);
+    microflow_.clear();
+    hand_ = 0;
+  }
+
+  void evict_one() {
+    for (std::size_t step = 0; step < 2 * entries_.size(); ++step) {
+      if (hand_ >= entries_.size()) hand_ = 0;
+      Entry& candidate = entries_[hand_];
+      if (candidate.referenced) {
+        candidate.referenced = false;
+        ++hand_;
+        continue;
+      }
+      std::erase_if(microflow_,
+                    [&candidate](const auto& mapping) { return mapping.second == candidate.real; });
+      const auto home = std::find_if(subtables_.begin(), subtables_.end(),
+                                     [&candidate](const Subtable& subtable) {
+                                       return subtable.signature == signature(candidate.dst);
+                                     });
+      if (--home->entry_count == 0) subtables_.erase(home);
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(hand_));
+      ++stats_.evictions;
+      return;
+    }
+  }
+
+  FlowCache::Limits limits_;
+  bool linear_;
+  std::vector<Entry> entries_;  // insertion order
+  std::size_t hand_ = 0;        // == entries_.size(): parked at the end
+  std::vector<Subtable> subtables_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, const MegaflowEntry*> microflow_;
+  std::uint64_t epoch_ = 1;
+  std::uint64_t purged_epoch_ = 1;
+  std::uint64_t tier2_lookups_ = 0;
+  FlowCache::Stats stats_;
+};
+
+void expect_same_stats(const FlowCache::Stats& real, const FlowCache::Stats& model) {
+  ASSERT_EQ(real.hits, model.hits);
+  ASSERT_EQ(real.microflow_hits, model.microflow_hits);
+  ASSERT_EQ(real.megaflow_hits, model.megaflow_hits);
+  ASSERT_EQ(real.misses, model.misses);
+  ASSERT_EQ(real.insertions, model.insertions);
+  ASSERT_EQ(real.invalidations, model.invalidations);
+  ASSERT_EQ(real.evictions, model.evictions);
+  ASSERT_EQ(real.flushes, model.flushes);
+  ASSERT_EQ(real.subtable_probes, model.subtable_probes);
+}
+
+/// Walk the insertion-order list and the bucket chains: links are
+/// symmetric, the list holds megaflow_count() entries in the model's
+/// order, each chain is in insertion order, and each subtable's chains
+/// hold exactly its entry_count entries.
+void expect_links_consistent(const FlowCache& cache, const ReferenceCache& model) {
+  std::vector<const MegaflowEntry*> order;
+  const MegaflowEntry* prev = nullptr;
+  for (const MegaflowEntry* entry = cache.oldest(); entry != nullptr;
+       entry = entry->clock_next.get()) {
+    ASSERT_EQ(entry->clock_prev, prev);
+    order.push_back(entry);
+    prev = entry;
+  }
+  ASSERT_EQ(order.size(), cache.megaflow_count());
+  ASSERT_EQ(order.size(), model.entries().size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    ASSERT_EQ(order[i], model.entries()[i].real) << "list position " << i;
+
+  std::map<const MegaflowSubtable*, std::size_t> chained;
+  std::set<std::pair<const MegaflowSubtable*, std::uint64_t>> walked;
+  for (const MegaflowEntry* entry : order) {
+    ASSERT_NE(entry->subtable, nullptr);
+    if (!walked.emplace(entry->subtable, entry->subtable_hash).second) continue;
+    MegaflowEntry** head = entry->subtable->buckets.find(entry->subtable_hash);
+    ASSERT_NE(head, nullptr);
+    std::ptrdiff_t last_position = -1;
+    for (const MegaflowEntry* link = *head; link != nullptr; link = link->bucket_next) {
+      ASSERT_EQ(link->subtable, entry->subtable);
+      ASSERT_EQ(link->subtable_hash, entry->subtable_hash);
+      const std::ptrdiff_t position = std::find(order.begin(), order.end(), link) - order.begin();
+      ASSERT_GT(position, last_position) << "chain out of insertion order";
+      last_position = position;
+      ++chained[entry->subtable];
+    }
+  }
+  ASSERT_EQ(chained.size(), cache.subtable_count());
+  for (const auto& [subtable, count] : chained) ASSERT_EQ(count, subtable->entry_count);
+}
+
+TEST(FlowCache, ClockMatchesIndexReferenceModel) {
+  for (const bool linear : {false, true}) {
+    for (const std::size_t capacity : {1u, 2u, 3u, 8u, 64u}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << (linear ? "linear" : "subtables") << " capacity "
+                                        << capacity << " seed " << seed);
+        FlowCache::Limits limits;
+        limits.max_megaflows = capacity;
+        limits.max_microflows = capacity + 3;  // frequent tier-1 flushes
+        limits.rank_decay_lookups = 5;         // frequent rank decay
+        FlowCache cache;
+        cache.set_limits(limits);
+        cache.set_linear_scan(linear);
+        ReferenceCache model(limits, linear);
+        util::Rng rng(seed);
+        const std::uint64_t dsts = 2 * capacity + 2;  // repeats make duplicate megaflows
+        for (int step = 0; step < 4000; ++step) {
+          const std::uint64_t op = rng.below(1000);
+          const std::uint64_t dst = 1 + rng.below(dsts);
+          const std::uint64_t flow = rng.below(3);
+          if (op < 400) {
+            MegaflowEntry* inserted = cache.insert(megaflow_for(dst), model_view(dst, flow));
+            model.insert(dst, flow, inserted);
+          } else if (op < 995) {
+            std::uint32_t scanned = 0;
+            std::uint32_t expected_scanned = 0;
+            const MegaflowEntry* hit = cache.lookup(model_view(dst, flow), /*now=*/0, &scanned);
+            ASSERT_EQ(hit, model.lookup(dst, flow, &expected_scanned)) << "step " << step;
+            ASSERT_EQ(scanned, expected_scanned) << "step " << step;
+          } else if (op < 998) {
+            cache.invalidate_all();
+            model.invalidate_all();
+          } else {
+            cache.clear();
+            model.clear();
+          }
+          ASSERT_EQ(cache.megaflow_count(), model.entries().size()) << "step " << step;
+          ASSERT_EQ(cache.subtable_count(), model.subtable_count()) << "step " << step;
+          ASSERT_NO_FATAL_FAILURE(expect_same_stats(cache.stats(), model.stats()))
+              << "step " << step;
+          ASSERT_NO_FATAL_FAILURE(expect_links_consistent(cache, model)) << "step " << step;
+        }
+        EXPECT_GT(cache.stats().evictions, 0u);
+        EXPECT_GT(cache.stats().invalidations, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

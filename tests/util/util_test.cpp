@@ -1,7 +1,13 @@
 // Tests for util: RNG determinism/distribution, Histogram, Table,
-// string helpers, Status/Result.
+// string helpers, Status/Result, the flat IdMap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "openflow/conntrack.hpp"
+#include "util/id_map.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -211,6 +217,130 @@ TEST(Result, ValueAndError) {
   EXPECT_EQ(err.value_or(7), 7);
   EXPECT_THROW(err.value(), ConfigError);
   EXPECT_FALSE(err.status().is_ok());
+}
+
+// ---------------------------------------------------------------- IdMap
+
+/// Every key starts probing at the table's last slot: one probe chain
+/// that wraps to slot 0 at once, so lookups, inserts and backward-shift
+/// deletion all cross the wrap-around.
+struct OneChainHash {
+  template <typename Key>
+  std::uint64_t operator()(const Key&) const { return ~std::uint64_t{0}; }
+};
+
+/// Drive `map` and a std::unordered_map through the same seeded
+/// insert/assign/find/erase/take/clear sequence over `universe`,
+/// checking every answer and, periodically, every key. `*peak` gets
+/// the largest size reached.
+template <typename RefHash, typename Map, typename Key>
+void check_against_unordered_map(Map& map, const std::vector<Key>& universe,
+                                 std::uint64_t seed, std::size_t* peak) {
+  std::unordered_map<Key, std::uint32_t, RefHash> ref;
+  Rng rng(seed);
+  *peak = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const Key& key = universe[rng.below(universe.size())];
+    const auto value = static_cast<std::uint32_t>(rng.next());
+    const std::uint64_t op = rng.below(100);
+    if (step % 2500 == 2499) {
+      map.clear();
+      ref.clear();
+    } else if (op < 50) {  // insert, or assign when present
+      map.insert_or_assign(key, value);
+      ref.insert_or_assign(key, value);
+    } else if (op < 65) {
+      const std::uint32_t* found = map.find(key);
+      const auto it = ref.find(key);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step;
+      if (found != nullptr) {
+        EXPECT_EQ(*found, it->second) << "step " << step;
+      }
+    } else if (op < 80) {
+      map.erase(key);
+      ref.erase(key);
+    } else {
+      std::uint32_t taken = 0;
+      const auto it = ref.find(key);
+      ASSERT_EQ(map.take(key, &taken), it != ref.end()) << "step " << step;
+      if (it != ref.end()) {
+        EXPECT_EQ(taken, it->second) << "step " << step;
+        ref.erase(it);
+      }
+    }
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(map.empty(), ref.empty()) << "step " << step;
+    *peak = std::max(*peak, ref.size());
+    if (step % 97 == 0) {
+      for (const Key& probe : universe) {
+        const auto it = ref.find(probe);
+        ASSERT_EQ(map.contains(probe), it != ref.end()) << "step " << step;
+        const std::uint32_t* found = map.find(probe);
+        ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step;
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second) << "step " << step;
+        }
+      }
+    }
+  }
+}
+
+std::vector<std::uint64_t> id_universe(std::size_t count) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; k < count; ++k) keys.push_back(k);  // key 0 included
+  keys.push_back(~std::uint64_t{0});
+  return keys;
+}
+
+std::vector<openflow::CtTuple> tuple_universe(std::size_t count, std::uint64_t seed) {
+  // The all-zero tuple (the empty-slot marker's value) is a legal key.
+  std::vector<openflow::CtTuple> tuples{openflow::CtTuple{}};
+  Rng rng(seed);
+  while (tuples.size() < count) {
+    const openflow::CtTuple t{static_cast<std::uint32_t>(rng.below(4)),
+                              static_cast<std::uint32_t>(rng.below(4)),
+                              static_cast<std::uint16_t>(rng.below(8)),
+                              static_cast<std::uint16_t>(rng.below(8)),
+                              static_cast<std::uint8_t>(rng.below(2) == 0 ? 6 : 17)};
+    if (std::find(tuples.begin(), tuples.end(), t) == tuples.end()) tuples.push_back(t);
+  }
+  return tuples;
+}
+
+// The table starts at 64 slots and doubles past 7/8 load, so a peak
+// above 112 live keys means it grew at least twice (64 -> 128 -> 256).
+constexpr std::size_t kTwoGrowths = 113;
+
+TEST(IdMap, U64KeysAgreeWithUnorderedMap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    IdMap<std::uint64_t, std::uint32_t> map;
+    std::size_t peak = 0;
+    check_against_unordered_map<std::hash<std::uint64_t>>(map, id_universe(400), seed, &peak);
+    EXPECT_GE(peak, kTwoGrowths);
+  }
+}
+
+TEST(IdMap, TupleKeysAgreeWithUnorderedMap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    IdMap<openflow::CtTuple, std::uint32_t, openflow::CtTupleHash> map;
+    std::size_t peak = 0;
+    check_against_unordered_map<openflow::CtTupleHash>(map, tuple_universe(400, seed), seed,
+                                                       &peak);
+    EXPECT_GE(peak, kTwoGrowths);
+  }
+}
+
+TEST(IdMap, OneProbeChainWrapsAndBackShifts) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    std::size_t peak = 0;
+    IdMap<std::uint64_t, std::uint32_t, OneChainHash> ids;
+    check_against_unordered_map<std::hash<std::uint64_t>>(ids, id_universe(180), seed, &peak);
+    EXPECT_GE(peak, kTwoGrowths);
+    IdMap<openflow::CtTuple, std::uint32_t, OneChainHash> tuples;
+    check_against_unordered_map<openflow::CtTupleHash>(tuples, tuple_universe(180, seed), seed,
+                                                       &peak);
+    EXPECT_GE(peak, kTwoGrowths);
+  }
 }
 
 }  // namespace
