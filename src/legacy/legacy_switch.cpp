@@ -58,22 +58,15 @@ std::optional<LegacySwitch::Classified> LegacySwitch::classify(
 
 void LegacySwitch::egress(int port_number, net::VlanId vlan, net::Packet&& packet) {
   const PortConfig& port = config_.ports.at(port_number);
-  // as_const: a mutable frame() would invalidate the interned parse
-  // even on the no-rewrite path (access egress of an untagged frame).
-  const bool tagged = net::vlan_peek(std::as_const(packet).frame()).has_value();
-
-  if (port.mode == PortMode::kAccess) {
-    // Access egress is always untagged.
-    if (tagged) net::vlan_pop(packet.frame());
-  } else {
-    const bool send_untagged = port.native_vlan && *port.native_vlan == vlan;
-    if (send_untagged) {
-      if (tagged) net::vlan_pop(packet.frame());
-    } else if (!tagged) {
-      net::vlan_push(packet.frame(), net::VlanTag{vlan, 0, false});
-    } else {
-      net::vlan_set_vid(packet.frame(), vlan);
-    }
+  // Access egress is always untagged, as is a trunk's native VLAN;
+  // otherwise retag (or tag) with `vlan`. The net/parse.hpp rewrites
+  // keep the interned parse, patched, for the next hop.
+  const bool send_untagged =
+      port.mode == PortMode::kAccess || (port.native_vlan && *port.native_vlan == vlan);
+  if (send_untagged) {
+    net::vlan_pop(packet);
+  } else if (!net::vlan_set_vid(packet, vlan)) {
+    net::vlan_push(packet, net::VlanTag{vlan, 0, false});
   }
   packet.charge(costs_.rewrite_ns);
   emit(static_cast<std::size_t>(port_number - 1), std::move(packet));
@@ -88,8 +81,8 @@ sim::SimNanos LegacySwitch::service_burst(sim::Burst&& burst) {
 sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   const int port_number = in_port + 1;
   // By-value copy of the interned parse: egress rewrites the frame
-  // (dropping the intern), and the flood loop reads `parsed` between
-  // egress calls — a reference would dangle.
+  // (patching or dropping the intern), and the flood loop reads
+  // `parsed` between egress calls — a reference would change or dangle.
   const net::ParsedPacket parsed = net::parse_cached(packet).parsed;
   sim::SimNanos cost = costs_.classify_ns;
 

@@ -35,6 +35,8 @@ struct Ipv4Header {
   [[nodiscard]] Bytes serialize() const;
 
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const Ipv4Header&, const Ipv4Header&) = default;
 };
 
 /// RFC 1071 internet checksum over an arbitrary byte range.

@@ -30,8 +30,9 @@ Bytes UdpHeader::serialize(std::uint16_t src_port, std::uint16_t dst_port, Bytes
 std::optional<TcpHeader> TcpHeader::parse(BytesView segment) {
   if (segment.size() < kTcpHeaderSize) return std::nullopt;
   const std::uint8_t data_offset = segment[12] >> 4;
-  if (data_offset < 5) return std::nullopt;
+  if (data_offset < 5 || data_offset * 4u > segment.size()) return std::nullopt;
   TcpHeader header;
+  header.data_offset = data_offset;
   header.src_port = rd16(segment, 0);
   header.dst_port = rd16(segment, 2);
   header.seq = rd32(segment, 4);

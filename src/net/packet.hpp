@@ -14,6 +14,9 @@
 // recycle through a thread-local pool on destruction, and a Packet can
 // carry an interned parse (net::PacketParse) that header mutation
 // automatically invalidates: any non-const frame() access drops it.
+// The one exception is the VLAN push/pop/set-vid helpers in
+// net/parse.hpp, which detach the intern first and re-attach it
+// patched when the result is what a fresh parse would give.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +91,8 @@ class Packet {
   [[nodiscard]] const Bytes& frame() const { return frame_; }
   /// Mutable frame access invalidates any interned parse: byte-level
   /// header rewrites (net/vlan.hpp, openflow/action.cpp) all come
-  /// through here, so a cached parse can never go stale.
+  /// through here, so a cached parse can never go stale. Callers that
+  /// keep the intern across a rewrite take_intern() first.
   [[nodiscard]] Bytes& frame() {
     drop_intern();
     return frame_;
@@ -119,6 +123,11 @@ class Packet {
   void set_intern(PacketParse* parse);
   /// Release the interned parse (called by any mutable frame access).
   void drop_intern();
+  /// Detach the interned parse without releasing it: the caller owns
+  /// it until it re-attaches it with set_intern or pools it. The
+  /// Packet-level VLAN rewrites in net/parse.hpp take the intern, edit
+  /// the bytes, then re-attach it patched.
+  [[nodiscard]] PacketParse* take_intern() { return std::exchange(intern_, nullptr); }
 
   /// classic "offset: xx xx .. ascii" dump for debugging and examples.
   [[nodiscard]] std::string hexdump() const { return hexdump(frame_.size()); }

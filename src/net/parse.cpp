@@ -67,8 +67,9 @@ ParsedPacket parse_packet(BytesView frame) {
     case IpProto::kTcp:
       out.tcp = TcpHeader::parse(l4);
       if (out.tcp) {
-        out.l4_payload_offset = l4_offset + kTcpHeaderSize;
-        out.l4_payload_size = l4.size() - kTcpHeaderSize;
+        const std::size_t header_size = out.tcp->data_offset * 4u;  // options included
+        out.l4_payload_offset = l4_offset + header_size;
+        out.l4_payload_size = l4.size() - header_size;
       }
       break;
     case IpProto::kIcmp:
@@ -129,6 +130,69 @@ PacketParse& parse_cached(Packet& packet) {
   parse->projection_valid = false;
   packet.set_intern(parse);
   return *parse;
+}
+
+namespace {
+
+constexpr std::uint16_t kVlanType = static_cast<std::uint16_t>(EtherType::kVlan);
+constexpr std::size_t kTagSize = 4;
+
+/// `parsed` describes an l2-valid frame carrying exactly one tag.
+bool single_tag(const ParsedPacket& parsed) {
+  return parsed.vlan.has_value() && parsed.eth_type != kVlanType;
+}
+
+/// Re-attach a patched intern; the projection was built from the old
+/// fields.
+void reattach(Packet& packet, PacketParse* parse) {
+  parse->projection_valid = false;
+  packet.set_intern(parse);
+}
+
+}  // namespace
+
+void vlan_push(Packet& packet, VlanTag tag) {
+  PacketParse* parse = packet.take_intern();
+  vlan_push(packet.frame(), tag);
+  if (parse == nullptr) return;
+  ParsedPacket& parsed = parse->parsed;
+  if (!parsed.l2_valid || parsed.vlan || parsed.eth_type == kVlanType) {
+    PacketParse::release(parse);  // a runt, or Q-in-Q after the push
+    return;
+  }
+  // The old L3 bytes now sit one tag further in.
+  parsed.vlan = VlanTag::from_tci(tag.tci());
+  if (parsed.l4_payload_offset != 0) parsed.l4_payload_offset += kTagSize;
+  reattach(packet, parse);
+}
+
+std::optional<VlanTag> vlan_pop(Packet& packet) {
+  if (!vlan_peek(std::as_const(packet).frame())) return std::nullopt;
+  PacketParse* parse = packet.take_intern();
+  const auto tag = vlan_pop(packet.frame());
+  if (parse == nullptr) return tag;
+  if (!single_tag(parse->parsed)) {
+    PacketParse::release(parse);  // Q-in-Q: the inner tag is now outermost
+    return tag;
+  }
+  parse->parsed.vlan.reset();
+  if (parse->parsed.l4_payload_offset != 0) parse->parsed.l4_payload_offset -= kTagSize;
+  reattach(packet, parse);
+  return tag;
+}
+
+bool vlan_set_vid(Packet& packet, VlanId vid) {
+  if (!vlan_peek(std::as_const(packet).frame())) return false;
+  PacketParse* parse = packet.take_intern();
+  vlan_set_vid(packet.frame(), vid);
+  if (parse == nullptr) return true;
+  if (!single_tag(parse->parsed)) {
+    PacketParse::release(parse);
+    return true;
+  }
+  parse->parsed.vlan->vid = vid & 0x0fff;
+  reattach(packet, parse);
+  return true;
 }
 
 std::string ParsedPacket::to_string() const {

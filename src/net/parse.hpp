@@ -6,8 +6,10 @@
 // unknown EtherTypes/protocols (fields stay unset, `l2_valid` alone).
 //
 // The view holds copies of the fields (not pointers into the frame), so
-// it stays valid while actions rewrite the frame; re-parse after
-// structural changes (tag push/pop).
+// it stays valid while actions rewrite the frame. A Packet's interned
+// parse survives VLAN push/pop/set-vid through the Packet-level helpers
+// below, which patch it; any other rewrite drops it, and the next
+// parse_cached parses afresh.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +99,18 @@ class PacketParse {
 /// destroyed. Repeated calls between mutations are O(1) — this is the
 /// once-per-hop parse the pipeline, hosts and the legacy switch share.
 PacketParse& parse_cached(Packet& packet);
+
+/// VLAN rewrites on a Packet that keep its interned parse. Each edits
+/// the bytes as its net/vlan.hpp namesake does, then re-attaches the
+/// intern patched — tag set or cleared, l4_payload_offset shifted by
+/// the tag's 4 bytes, projection slot invalidated — when the result is
+/// what parse_packet would give: an l2-valid frame with one tag (push,
+/// set-vid) or none (pop). Q-in-Q and runt frames drop the intern as
+/// any other rewrite does. A pop or set-vid on an untagged frame
+/// changes nothing, intern included.
+void vlan_push(Packet& packet, VlanTag tag);
+std::optional<VlanTag> vlan_pop(Packet& packet);
+bool vlan_set_vid(Packet& packet, VlanId vid);
 
 /// Extract the L4 payload of a parsed packet as a string_view into the
 /// original frame (empty if none). The frame must outlive the view.

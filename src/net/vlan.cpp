@@ -11,6 +11,7 @@ std::optional<VlanTag> vlan_peek(BytesView frame) {
 }
 
 void vlan_push(Bytes& frame, VlanTag tag) {
+  if (frame.size() < 12) return;  // no room for a tag after the MACs
   // Insert TPID+TCI at offset 12 (after dst+src MAC); the original
   // EtherType slides to offset 16 and becomes the inner type.
   std::uint8_t tag_bytes[4];

@@ -47,8 +47,9 @@ struct VlanTag {
 /// (including runt frames).
 std::optional<VlanTag> vlan_peek(BytesView frame);
 
-/// Insert a tag after the source MAC. Frame must hold an Ethernet
-/// header. Q-in-Q stacking is permitted (new tag becomes outermost).
+/// Insert a tag after the source MAC (a frame shorter than the two
+/// MACs is left unchanged). Q-in-Q stacking is permitted (new tag
+/// becomes outermost).
 void vlan_push(Bytes& frame, VlanTag tag);
 
 /// Remove the outermost tag. Returns the removed tag, or nullopt (frame

@@ -50,6 +50,8 @@ void refresh_l4_checksum(net::Bytes& frame, std::size_t l3) {
 }
 
 bool set_field(const SetFieldAction& action, net::Packet& packet) {
+  if (action.field == Field::kVlanVid)  // keeps the interned parse, patched
+    return net::vlan_set_vid(packet, static_cast<net::VlanId>(action.value & 0x0fff));
   net::Bytes& frame = packet.frame();
   if (frame.size() < net::kEthHeaderSize) return false;
   std::span<std::uint8_t> bytes(frame.data(), frame.size());
@@ -65,8 +67,6 @@ bool set_field(const SetFieldAction& action, net::Packet& packet) {
       std::copy(mac.begin(), mac.end(), frame.begin() + 6);
       return true;
     }
-    case Field::kVlanVid:
-      return net::vlan_set_vid(frame, static_cast<net::VlanId>(action.value & 0x0fff));
     case Field::kVlanPcp: {
       if (!net::vlan_peek(frame)) return false;
       auto tag = net::VlanTag::from_tci(net::rd16(net::BytesView(frame), 14));
@@ -111,11 +111,11 @@ bool set_field(const SetFieldAction& action, net::Packet& packet) {
 
 bool apply_header_action(const Action& action, net::Packet& packet) {
   if (std::holds_alternative<PushVlanAction>(action)) {
-    net::vlan_push(packet.frame(), net::VlanTag{0, 0, false});
+    net::vlan_push(packet, net::VlanTag{0, 0, false});
     return true;
   }
   if (std::holds_alternative<PopVlanAction>(action)) {
-    return net::vlan_pop(packet.frame()).has_value();
+    return net::vlan_pop(packet).has_value();
   }
   if (const auto* set = std::get_if<SetFieldAction>(&action)) {
     return set_field(*set, packet);

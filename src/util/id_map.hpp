@@ -73,6 +73,12 @@ class IdMap {
     return slot == kAbsent ? nullptr : &values_[slot];
   }
 
+  [[nodiscard]] const Value* find(const Key& key) const {
+    if (key == Key{}) return has_empty_key_ ? &empty_key_value_ : nullptr;
+    const std::size_t slot = slot_of(key);
+    return slot == kAbsent ? nullptr : &values_[slot];
+  }
+
   [[nodiscard]] bool contains(const Key& key) const {
     return key == Key{} ? has_empty_key_ : slot_of(key) != kAbsent;
   }

@@ -4,6 +4,7 @@
 
 #include "net/build.hpp"
 #include "net/parse.hpp"
+#include "tests/net/tcp_options.hpp"
 
 namespace harmless::net {
 namespace {
@@ -80,6 +81,30 @@ TEST(Parse, HttpGetPayloadExtractable) {
   const std::string_view payload = l4_payload(parsed, packet.frame());
   EXPECT_NE(payload.find("GET /index.html HTTP/1.1"), std::string_view::npos);
   EXPECT_NE(payload.find("Host: example.com"), std::string_view::npos);
+}
+
+TEST(Parse, TcpPayloadStartsAfterTheOptions) {
+  // 12 option bytes, the size of a timestamp option with its padding.
+  const Packet packet =
+      with_tcp_options(make_http_get(flow(), "example.com", "/index.html"), 12);
+  const ParsedPacket parsed = parse_packet(packet);
+  ASSERT_TRUE(parsed.tcp);
+  EXPECT_EQ(parsed.tcp->data_offset, 8);
+  EXPECT_EQ(parsed.l4_payload_offset, kEthHeaderSize + kIpv4HeaderSize + kTcpHeaderSize + 12);
+  const std::string_view payload = l4_payload(parsed, packet.frame());
+  EXPECT_TRUE(payload.starts_with("GET /index.html HTTP/1.1")) << payload;
+  EXPECT_NE(payload.find("Host: example.com"), std::string_view::npos);
+  EXPECT_EQ(payload.size(), parsed.l4_payload_size);
+}
+
+TEST(Parse, TcpDataOffsetPastTheSegmentIsRejected) {
+  Packet packet = make_tcp(flow(), kTcpPsh | kTcpAck, "abc");  // a 23-byte segment
+  packet.frame()[kEthHeaderSize + kIpv4HeaderSize + 12] = 0xf0;  // claims a 60-byte header
+  const ParsedPacket parsed = parse_packet(packet);
+  EXPECT_TRUE(parsed.ipv4);
+  EXPECT_FALSE(parsed.tcp);
+  EXPECT_EQ(parsed.l4_payload_offset, 0u);
+  EXPECT_TRUE(l4_payload(parsed, packet.frame()).empty());
 }
 
 TEST(Parse, TruncatedFramesAreSafe) {

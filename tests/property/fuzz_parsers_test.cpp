@@ -13,6 +13,7 @@
 #include "net/parse.hpp"
 #include "net/pcap.hpp"
 #include "openflow/conntrack.hpp"
+#include "tests/net/tcp_options.hpp"
 #include "util/rng.hpp"
 
 namespace harmless {
@@ -123,6 +124,43 @@ TEST_P(ParserFuzz, FrameParserHandlesMutatedValidPackets) {
                   frame.data() + frame.size());
       }
     });
+  }
+}
+
+TEST_P(ParserFuzz, TcpDataOffsetBoundsThePayload) {
+  // Options of every legal length, then a data offset that is kept,
+  // rewritten to any 4-bit value, or cut short by a truncated frame:
+  // the payload view stays inside the segment, and an intact frame's
+  // payload is the request itself.
+  util::Rng rng(GetParam());
+  net::FlowKey key;
+  key.eth_src = net::MacAddr::from_u64(1);
+  key.eth_dst = net::MacAddr::from_u64(2);
+  key.ip_src = net::Ipv4Addr(10, 0, 0, 1);
+  key.ip_dst = net::Ipv4Addr(10, 0, 0, 2);
+  key.src_port = 1;
+  key.dst_port = 80;
+  constexpr std::size_t kOffsetByte = net::kEthHeaderSize + net::kIpv4HeaderSize + 12;
+  for (int trial = 0; trial < 500; ++trial) {
+    net::Packet packet =
+        net::with_tcp_options(net::make_http_get(key, "fuzz.example"), 4 * rng.below(11));
+    net::Bytes& frame = packet.frame();
+    const bool rewritten = rng.chance(0.5);
+    if (rewritten) frame[kOffsetByte] = static_cast<std::uint8_t>(rng.below(16) << 4);
+    const bool truncated = rng.chance(0.3);
+    if (truncated) frame.resize(rng.below(frame.size() + 1));
+    const net::ParsedPacket parsed = net::parse_packet(frame);
+    const std::string_view payload = net::l4_payload(parsed, frame);
+    if (parsed.tcp) {
+      EXPECT_GE(parsed.tcp->data_offset, 5);
+      EXPECT_LE(parsed.l4_payload_offset + parsed.l4_payload_size, frame.size());
+      EXPECT_EQ(parsed.l4_payload_offset,
+                kOffsetByte - 12 + parsed.tcp->data_offset * std::size_t{4});
+    }
+    if (!rewritten && !truncated) {
+      ASSERT_TRUE(parsed.tcp);
+      EXPECT_TRUE(payload.starts_with("GET / HTTP/1.1\r\nHost: fuzz.example")) << payload;
+    }
   }
 }
 
